@@ -4,16 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/algo"
 	"repro/internal/dag"
 	"repro/internal/gen"
-	"repro/internal/sched"
 )
-
-// Allocation-count assertions for the steady-state scheduling inner
-// loops. The loops are measured on preallocated scratch — exactly the
-// state a warm pool hands out — so the assertion is deterministic:
-// zero allocations, not "few".
 
 func allocTestGraph(tb testing.TB) *dag.Graph {
 	tb.Helper()
@@ -22,57 +15,6 @@ func allocTestGraph(tb testing.TB) *dag.Graph {
 		tb.Fatalf("generate: %v", err)
 	}
 	return g
-}
-
-func TestETFInnerLoopAllocs(t *testing.T) {
-	g := allocTestGraph(t)
-	const procs = 8
-	s := sched.New(g, procs)
-	ready := algo.NewReadySet(g)
-	sc := &scratch{}
-	run := func() {
-		s.Reset(g, procs)
-		ready.Reset(g)
-		sc.grow(g)
-		etf(g, s, ready, sc)
-	}
-	run() // warm capacities
-	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
-		t.Errorf("steady-state ETF allocates %.1f objects per run, want 0", allocs)
-	}
-}
-
-func TestDLSInnerLoopAllocs(t *testing.T) {
-	g := allocTestGraph(t)
-	const procs = 8
-	s := sched.New(g, procs)
-	ready := algo.NewReadySet(g)
-	sc := &scratch{}
-	run := func() {
-		s.Reset(g, procs)
-		ready.Reset(g)
-		sc.grow(g)
-		dls(g, s, ready, sc)
-	}
-	run()
-	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
-		t.Errorf("steady-state DLS allocates %.1f objects per run, want 0", allocs)
-	}
-}
-
-func TestMCPInnerLoopAllocs(t *testing.T) {
-	g := allocTestGraph(t)
-	const procs = 8
-	order := algo.ALAPListOrder(g) // priority computation is per-graph, not per-run
-	s := sched.New(g, procs)
-	run := func() {
-		s.Reset(g, procs)
-		mcpPlace(order, s)
-	}
-	run()
-	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
-		t.Errorf("steady-state MCP placement allocates %.1f objects per run, want 0", allocs)
-	}
 }
 
 // TestPooledSchedulersStayCorrect runs the pooled public entry points

@@ -11,12 +11,17 @@
 // and returns a complete, validated-by-construction schedule. The
 // schedulers are deterministic: all ties break toward smaller node IDs
 // and lower processor indices.
+//
+// HLFET, MCP, ETF and DLS are points of the component space of
+// internal/algo/param, and their entry points here forward to those
+// combos; ISH and LAST are not, and keep their own loops.
 package bnp
 
 import (
 	"fmt"
 	"sync"
 
+	"repro/internal/algo/param"
 	"repro/internal/dag"
 	"repro/internal/sched"
 )
@@ -37,43 +42,39 @@ func Algorithms() map[string]Scheduler {
 	}
 }
 
-func checkArgs(g *dag.Graph, numProcs int) error {
-	if g == nil {
-		return fmt.Errorf("bnp: nil graph")
-	}
-	if numProcs < 1 {
-		return fmt.Errorf("bnp: need at least one processor, got %d", numProcs)
-	}
-	return nil
+// HLFET is the Highest Level First with Estimated Times algorithm of
+// Adam, Chandy and Dickson (1974): the ready node with the highest
+// static level goes to the processor that allows its earliest start,
+// without insertion. It is the param combo sl/est/ni/st.
+func HLFET(g *dag.Graph, numProcs int) (*sched.Schedule, error) {
+	return ScheduleHet("HLFET", g, numProcs, nil)
 }
 
-// runs maps algorithm names to their inner loops, which operate on a
-// prepared (possibly heterogeneous) schedule.
-var runs = map[string]func(*dag.Graph, *sched.Schedule){
-	"HLFET": runHLFET,
-	"ISH":   runISH,
-	"ETF":   runETF,
-	"LAST":  runLAST,
-	"MCP":   runMCP,
-	"DLS":   runDLS,
+// MCP is the Modified Critical Path algorithm of Wu and Gajski (1990):
+// nodes in ascending lexicographic order of their ALAP lists (own ALAP
+// time, then every descendant's), each placed at its earliest start
+// with insertion. The paper finds it the best BNP algorithm overall and
+// the fastest (section 7). It is the param combo alap/est/ins/st.
+func MCP(g *dag.Graph, numProcs int) (*sched.Schedule, error) {
+	return ScheduleHet("MCP", g, numProcs, nil)
 }
 
-// runBNP is the shared entry path of every BNP scheduler: validate,
-// acquire a schedule, optionally make it heterogeneous, and hand it to
-// the algorithm's inner loop.
-func runBNP(g *dag.Graph, numProcs int, speeds []float64, run func(*dag.Graph, *sched.Schedule)) (*sched.Schedule, error) {
-	if err := checkArgs(g, numProcs); err != nil {
-		return nil, err
-	}
-	s := sched.Acquire(g, numProcs)
-	if speeds != nil {
-		if err := s.SetSpeeds(speeds); err != nil {
-			s.Release()
-			return nil, err
-		}
-	}
-	run(g, s)
-	return s, nil
+// ETF is the Earliest Time First algorithm of Hwang, Chow, Anger and
+// Lee (1989): each step places the (ready node, processor) pair with
+// the smallest earliest start, ties toward the higher static level,
+// then the smaller node ID; no insertion. It is the param combo
+// sl/est/ni/dy.
+func ETF(g *dag.Graph, numProcs int) (*sched.Schedule, error) {
+	return ScheduleHet("ETF", g, numProcs, nil)
+}
+
+// DLS is the Dynamic Level Scheduling algorithm of Sih and Lee (1993)
+// in its BNP form (the APN form lives in internal/algo/apn): each step
+// places the pair with the largest dynamic level SL(n) − EST(n, p),
+// ties toward the smaller node ID; no insertion. It is the param combo
+// dl/est/ni/dy.
+func DLS(g *dag.Graph, numProcs int) (*sched.Schedule, error) {
+	return ScheduleHet("DLS", g, numProcs, nil)
 }
 
 // ScheduleHet runs the named BNP algorithm on numProcs processors with
@@ -83,56 +84,40 @@ func runBNP(g *dag.Graph, numProcs int, speeds []float64, run func(*dag.Graph, *
 // queries and execution times are speed-aware; the component schedulers
 // of internal/algo/param add heterogeneity-aware selection rules.
 func ScheduleHet(name string, g *dag.Graph, numProcs int, speeds []float64) (*sched.Schedule, error) {
-	run, ok := runs[name]
+	if c, ok := param.Lookup(name); ok {
+		return c.Schedule(g, numProcs, speeds)
+	}
+	run, ok := bespoke[name]
 	if !ok {
 		return nil, fmt.Errorf("bnp: unknown algorithm %q", name)
 	}
-	return runBNP(g, numProcs, speeds, run)
-}
-
-// scratch bundles the per-run working state shared by the BNP
-// schedulers: the level attributes and, for the incremental ETF/DLS
-// kernels, the cached best (processor, EST) per ready node. Instances
-// are pooled so steady-state scheduling runs reuse the arrays.
-type scratch struct {
-	lv       dag.Levels
-	bestProc []int32
-	bestEST  []int64
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-// acquireScratch returns pooled scratch with levels computed for g and
-// the per-node arrays sized to g.
-func acquireScratch(g *dag.Graph) *scratch {
-	sc := scratchPool.Get().(*scratch)
-	sc.grow(g)
-	return sc
-}
-
-// grow sizes the scratch for g and computes its levels.
-func (sc *scratch) grow(g *dag.Graph) {
-	sc.lv.Compute(g)
-	n := g.NumNodes()
-	if cap(sc.bestProc) >= n {
-		sc.bestProc = sc.bestProc[:n]
-		sc.bestEST = sc.bestEST[:n]
-	} else {
-		sc.bestProc = make([]int32, n)
-		sc.bestEST = make([]int64, n)
+	if g == nil {
+		return nil, fmt.Errorf("bnp: nil graph")
 	}
-}
-
-func (sc *scratch) release() { scratchPool.Put(sc) }
-
-// evalBest computes and caches the earliest-start placement of ready
-// node n: the processor with the smallest non-insertion EST, ties
-// toward lower indices. O(procs) with the O(1) EST query.
-func evalBest(s *sched.Schedule, sc *scratch, n dag.NodeID) {
-	p, e, ok := s.BestESTNonInsertion(n)
-	if !ok {
-		panic("bnp: ready node has unscheduled parent")
+	if numProcs < 1 {
+		return nil, fmt.Errorf("bnp: need at least one processor, got %d", numProcs)
 	}
-	sc.bestProc[n] = int32(p)
-	sc.bestEST[n] = e
+	s := sched.Acquire(g, numProcs)
+	if speeds != nil {
+		if err := s.SetSpeeds(speeds); err != nil {
+			s.Release()
+			return nil, err
+		}
+	}
+	lv := levelsPool.Get().(*dag.Levels)
+	defer levelsPool.Put(lv)
+	lv.Compute(g)
+	run(g, s, lv.Static)
+	return s, nil
 }
+
+// bespoke maps the algorithms that are not points of the component
+// space to their loops, which run on a prepared schedule with the
+// graph's static levels.
+var bespoke = map[string]func(g *dag.Graph, s *sched.Schedule, sl []int64){
+	"ISH":  runISH,
+	"LAST": runLAST,
+}
+
+// levelsPool recycles the level arrays of the bespoke loops.
+var levelsPool = sync.Pool{New: func() any { return new(dag.Levels) }}

@@ -116,6 +116,19 @@ func refETF(g *dag.Graph, numProcs int) *sched.Schedule {
 	return s
 }
 
+// betterETFTie reports whether candidate (n,p) wins the tie against the
+// incumbent (bn,bp) at equal EST: higher static level, then smaller node
+// ID, then lower processor index.
+func betterETFTie(sl []int64, n dag.NodeID, p int, bn dag.NodeID, bp int) bool {
+	if sl[n] != sl[bn] {
+		return sl[n] > sl[bn]
+	}
+	if n != bn {
+		return n < bn
+	}
+	return p < bp
+}
+
 // refDLS is the original DLS pair scan.
 func refDLS(g *dag.Graph, numProcs int) *sched.Schedule {
 	sl := dag.StaticLevels(g)

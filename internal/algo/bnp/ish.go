@@ -19,14 +19,11 @@ import (
 // that "insertion is better than non-insertion": the hole filling yields
 // dramatic improvements over plain HLFET at almost no complexity cost.
 func ISH(g *dag.Graph, numProcs int) (*sched.Schedule, error) {
-	return runBNP(g, numProcs, nil, runISH)
+	return ScheduleHet("ISH", g, numProcs, nil)
 }
 
-// runISH is the ISH loop on a prepared schedule.
-func runISH(g *dag.Graph, s *sched.Schedule) {
-	sc := acquireScratch(g)
-	defer sc.release()
-	sl := sc.lv.Static
+// runISH is the ISH loop on a prepared schedule, given static levels.
+func runISH(g *dag.Graph, s *sched.Schedule, sl []int64) {
 	ready := algo.AcquireReadySet(g)
 	defer ready.Release()
 	for !ready.Empty() {
@@ -36,7 +33,7 @@ func runISH(g *dag.Graph, s *sched.Schedule) {
 		if !ok {
 			panic("bnp: ISH popped node with unscheduled parent")
 		}
-		tracePriority(n, sl[n])
+		algo.TracePriority(n, sl[n], false)
 		var holeStart int64
 		if slots := s.Slots(p); len(slots) > 0 {
 			holeStart = slots[len(slots)-1].Finish
@@ -71,7 +68,7 @@ func fillHole(g *dag.Graph, s *sched.Schedule, ready *algo.ReadySet, sl []int64,
 			return
 		}
 		ready.Pop(best)
-		tracePriority(best, sl[best])
+		algo.TracePriority(best, sl[best], true)
 		s.MustPlace(best, p, bestStart)
 		ready.MarkScheduled(g, best)
 	}

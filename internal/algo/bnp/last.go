@@ -22,14 +22,11 @@ import (
 // algorithm (section 6.2) — localizing communication alone does not
 // shorten the critical path.
 func LAST(g *dag.Graph, numProcs int) (*sched.Schedule, error) {
-	return runBNP(g, numProcs, nil, runLAST)
+	return ScheduleHet("LAST", g, numProcs, nil)
 }
 
-// runLAST is the LAST loop on a prepared schedule.
-func runLAST(g *dag.Graph, s *sched.Schedule) {
-	sc := acquireScratch(g)
-	defer sc.release()
-	sl := sc.lv.Static
+// runLAST is the LAST loop on a prepared schedule, given static levels.
+func runLAST(g *dag.Graph, s *sched.Schedule, sl []int64) {
 	ready := algo.AcquireReadySet(g)
 	defer ready.Release()
 	for !ready.Empty() {
@@ -48,7 +45,7 @@ func runLAST(g *dag.Graph, s *sched.Schedule) {
 			panic("bnp: LAST popped node with unscheduled parent")
 		}
 		// D_NODE is a fraction in [0,1]; stage it in micro-units.
-		tracePriority(best, int64(bestD*1e6))
+		algo.TracePriority(best, int64(bestD*1e6), false)
 		s.MustPlace(best, p, est)
 		ready.MarkScheduled(g, best)
 	}

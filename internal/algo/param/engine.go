@@ -1,7 +1,6 @@
 package param
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/algo"
@@ -10,15 +9,14 @@ import (
 )
 
 // engine is the pooled per-run state of the generic component
-// scheduler: level attributes, the static priority ranks, the median
-// execution times (RuleDL only), and the per-ready-node cache of the
-// best placement under the combo's rule.
+// scheduler: level attributes, the per-node priority key, and — for the
+// dynamic regime only — the median execution times (RuleDL) and the
+// per-ready-node cache of the best placement under the combo's rule.
 type engine struct {
 	lv       dag.Levels
-	rank     []int32
+	key      []int64
 	med      []int64
 	execBuf  []int64
-	nodes    []dag.NodeID
 	bestProc []int32
 	bestEST  []int64
 	bestObj  []int64
@@ -26,110 +24,166 @@ type engine struct {
 
 var enginePool = sync.Pool{New: func() any { return new(engine) }}
 
-func acquireEngine(g *dag.Graph) *engine {
-	e := enginePool.Get().(*engine)
-	e.lv.Compute(g)
-	n := g.NumNodes()
-	if cap(e.rank) >= n {
-		e.rank = e.rank[:n]
-		e.med = e.med[:n]
-		e.bestProc = e.bestProc[:n]
-		e.bestEST = e.bestEST[:n]
-		e.bestObj = e.bestObj[:n]
-	} else {
-		e.rank = make([]int32, n)
-		e.med = make([]int64, n)
-		e.bestProc = make([]int32, n)
-		e.bestEST = make([]int64, n)
-		e.bestObj = make([]int64, n)
-	}
-	return e
-}
-
-func (e *engine) release() { enginePool.Put(e) }
-
 // run executes the combo on a prepared (possibly heterogeneous)
 // schedule.
 func run(c Combo, g *dag.Graph, s *sched.Schedule) {
-	e := acquireEngine(g)
-	defer e.release()
-	e.computeRanks(c.Metric, g)
+	e := enginePool.Get().(*engine)
+	defer enginePool.Put(e)
+	e.lv.Compute(g)
+	key := e.priorityKey(c.Metric, g)
+	if c.Regime == RegimeStatic {
+		e.runStatic(c, g, s, key)
+	} else {
+		e.runDynamic(c, g, s, key)
+	}
+}
+
+// priorityKey returns the metric's static total order as a per-node
+// key: a higher key pops first, ties toward the smaller node ID (the
+// ReadyHeap order). The static level is aliased, not copied.
+func (e *engine) priorityKey(m Metric, g *dag.Graph) []int64 {
+	if m == MetricSL || m == MetricDL {
+		// MetricDL's static part is the static level, so the two share
+		// an order.
+		return e.lv.Static
+	}
+	n := g.NumNodes()
+	e.key = resize(e.key, n)
+	switch m {
+	case MetricTL:
+		// Ascending t-level: earliest possible start first.
+		for v := range e.key {
+			e.key[v] = -e.lv.T[v]
+		}
+	case MetricBT:
+		// Descending t-level + b-level: critical-path nodes first.
+		for v := range e.key {
+			e.key[v] = e.lv.T[v] + e.lv.B[v]
+		}
+	case MetricALAP:
+		for i, v := range algo.ALAPListOrder(g) {
+			e.key[v] = -int64(i)
+		}
+	default:
+		panic("param: unknown metric")
+	}
+	return e.key
+}
+
+// metricValue is node n's value under the static metric as decision
+// traces report it: the static level, t-level, t-level + b-level, or
+// ALAP time.
+func (e *engine) metricValue(m Metric, n dag.NodeID, key []int64) int64 {
+	switch m {
+	case MetricTL:
+		return e.lv.T[n]
+	case MetricALAP:
+		return e.lv.ALAP[n]
+	}
+	return key[n]
+}
+
+// runStatic is the fixed-priority-list regime: pop the ready node with
+// the highest key, place it by rule and slot policy.
+func (e *engine) runStatic(c Combo, g *dag.Graph, s *sched.Schedule, key []int64) {
+	insertion := c.Slot == SlotInsertion
+	ready := algo.AcquireReadyHeap(g, key)
+	defer ready.Release()
+	for !ready.Empty() {
+		n := ready.PopMax()
+		p, est, _ := bestPlacement(c.Rule, insertion, s, n)
+		algo.TracePriority(n, e.metricValue(c.Metric, n, key), insertion)
+		s.MustPlace(n, p, est)
+		ready.MarkScheduled(g, n)
+	}
+}
+
+// runDynamic is the dynamic regime: every ready node caches its best
+// placement under the rule; each step schedules the globally best
+// (node, processor) pair and re-evaluates only the nodes whose cached
+// processor just received the task, plus the newly released ones.
+//
+// Correctness of the incremental re-evaluation: a ready node's data
+// arrivals are fixed (all parents were scheduled before it became
+// ready), so its EST on processor p changes only when p's slots change
+// — that is, only for the processor that received the last placement,
+// and only upward: under either slot policy, adding a slot can never
+// open an earlier fit. A cached best on another processor therefore
+// stays optimal: its own value is unchanged and the touched processor
+// only got worse. This is what turns the paper's O(p·v²) ETF and DLS
+// pair scans into O(p) work per re-evaluated node with identical
+// schedules.
+func (e *engine) runDynamic(c Combo, g *dag.Graph, s *sched.Schedule, key []int64) {
+	insertion := c.Slot == SlotInsertion
+	n := g.NumNodes()
+	e.bestProc = resize(e.bestProc, n)
+	e.bestEST = resize(e.bestEST, n)
+	e.bestObj = resize(e.bestObj, n)
 	if c.Rule == RuleDL {
 		e.computeMedians(g, s)
 	}
 	ready := algo.AcquireReadySet(g)
 	defer ready.Release()
-
-	if c.Regime == RegimeStatic {
-		// Fixed priority list: pop by static rank, place by rule+slot.
-		for !ready.Empty() {
-			n := algo.MinBy(ready.Ready(), func(m dag.NodeID) int64 { return int64(e.rank[m]) })
-			ready.Pop(n)
-			e.eval(c, s, n)
-			tracePriority(n, int64(e.rank[n]))
-			s.MustPlace(n, int(e.bestProc[n]), e.bestEST[n])
-			ready.MarkScheduled(g, n)
-		}
-		return
-	}
-
-	// Dynamic regime: every ready node caches its best placement under
-	// the rule; each step schedules the globally best (node, processor)
-	// pair and re-evaluates only the nodes whose cached processor just
-	// changed, plus the newly released ones. The incremental argument is
-	// the one proved for the ETF kernel (internal/algo/bnp): a
-	// placement only affects the receiving processor, and only for the
-	// worse — under either slot policy, adding a slot can never open an
-	// earlier fit on it — so a cached best on another processor stays
-	// optimal.
 	for _, m := range ready.Ready() {
-		e.eval(c, s, m)
+		e.eval(c.Rule, insertion, s, m)
 	}
 	for !ready.Empty() {
 		bestNode := dag.None
+		var bestVal int64
 		if c.Metric == MetricDL {
 			// Maximize the dynamic level SL − objective, ties toward the
 			// smaller node ID (Sih & Lee).
-			var bestDL int64
 			for _, m := range ready.Ready() {
 				dl := e.lv.Static[m] - e.bestObj[m]
-				if bestNode == dag.None || dl > bestDL || (dl == bestDL && m < bestNode) {
-					bestNode, bestDL = m, dl
+				if bestNode == dag.None || dl > bestVal || (dl == bestVal && m < bestNode) {
+					bestNode, bestVal = m, dl
 				}
 			}
 		} else {
-			// Minimize the objective, ties by static rank (for MetricSL
-			// this is ETF's higher-static-level-then-smaller-ID chain).
-			var bestObj int64
+			// Minimize the objective, ties by the static key, then the
+			// smaller ID (for MetricSL this is ETF's
+			// higher-static-level-then-smaller-ID chain).
 			for _, m := range ready.Ready() {
 				obj := e.bestObj[m]
-				if bestNode == dag.None || obj < bestObj ||
-					(obj == bestObj && e.rank[m] < e.rank[bestNode]) {
-					bestNode, bestObj = m, obj
+				if bestNode == dag.None || obj < bestVal ||
+					(obj == bestVal && (key[m] > key[bestNode] || (key[m] == key[bestNode] && m < bestNode))) {
+					bestNode, bestVal = m, obj
 				}
 			}
 		}
 		placed := e.bestProc[bestNode]
 		ready.Pop(bestNode)
-		tracePriority(bestNode, e.bestObj[bestNode])
+		algo.TracePriority(bestNode, bestVal, insertion)
 		s.MustPlace(bestNode, int(placed), e.bestEST[bestNode])
 		for _, m := range ready.Ready() {
 			if e.bestProc[m] == placed {
-				e.eval(c, s, m)
+				e.eval(c.Rule, insertion, s, m)
 			}
 		}
 		for _, m := range ready.MarkScheduled(g, bestNode) {
-			e.eval(c, s, m)
+			e.eval(c.Rule, insertion, s, m)
 		}
 	}
 }
 
-// eval caches the best placement of ready node n under the combo's rule
-// and slot policy: the processor minimizing the rule's objective, ties
-// toward lower indices, with the EST at that processor.
-func (e *engine) eval(c Combo, s *sched.Schedule, n dag.NodeID) {
-	insertion := c.Slot == SlotInsertion
-	if c.Rule == RuleEST {
+// eval caches the best placement of ready node n for the dynamic
+// regime. RuleDL's objective is charged relative to the node's median
+// execution time: a per-node constant, so it cannot change the argmin
+// over processors, only the value carried into node selection.
+func (e *engine) eval(rule Rule, insertion bool, s *sched.Schedule, n dag.NodeID) {
+	p, est, obj := bestPlacement(rule, insertion, s, n)
+	if rule == RuleDL {
+		obj -= e.med[n]
+	}
+	e.bestProc[n], e.bestEST[n], e.bestObj[n] = int32(p), est, obj
+}
+
+// bestPlacement returns the processor minimizing the rule's objective
+// for ready node n under the slot policy, ties toward lower indices,
+// with the EST there and the objective value (the EST for RuleEST, the
+// finish time for RuleEFT and RuleDL).
+func bestPlacement(rule Rule, insertion bool, s *sched.Schedule, n dag.NodeID) (int, int64, int64) {
+	if rule == RuleEST {
 		var (
 			p   int
 			est int64
@@ -143,8 +197,7 @@ func (e *engine) eval(c Combo, s *sched.Schedule, n dag.NodeID) {
 		if !ok {
 			panic("param: ready node has unscheduled parent")
 		}
-		e.bestProc[n], e.bestEST[n], e.bestObj[n] = int32(p), est, est
-		return
+		return p, est, est
 	}
 	best := -1
 	var bestEST, bestObj int64
@@ -158,71 +211,23 @@ func (e *engine) eval(c Combo, s *sched.Schedule, n dag.NodeID) {
 			best, bestEST, bestObj = p, est, obj
 		}
 	}
-	if c.Rule == RuleDL {
-		// The median is a per-node constant: it cannot change the argmin
-		// over processors, only the objective value carried into dynamic
-		// node selection.
-		bestObj -= e.med[n]
-	}
-	e.bestProc[n], e.bestEST[n], e.bestObj[n] = int32(best), bestEST, bestObj
-}
-
-// computeRanks fills e.rank with the metric's static total order:
-// rank 0 is scheduled first. Every order ties toward the smaller node
-// ID, so ranks are a permutation.
-func (e *engine) computeRanks(m Metric, g *dag.Graph) {
-	n := g.NumNodes()
-	if m == MetricALAP {
-		for i, nd := range algo.ALAPListOrder(g) {
-			e.rank[nd] = int32(i)
-		}
-		return
-	}
-	nodes := e.nodes[:0]
-	for v := 0; v < n; v++ {
-		nodes = append(nodes, dag.NodeID(v))
-	}
-	e.nodes = nodes
-	var key func(dag.NodeID) int64
-	switch m {
-	case MetricSL, MetricDL:
-		// Descending static level; MetricDL's static part is the static
-		// level, so the two share a rank order.
-		key = func(v dag.NodeID) int64 { return -e.lv.Static[v] }
-	case MetricTL:
-		// Ascending t-level: earliest possible start first.
-		key = func(v dag.NodeID) int64 { return e.lv.T[v] }
-	case MetricBT:
-		// Descending t-level + b-level: critical-path nodes first.
-		key = func(v dag.NodeID) int64 { return -(e.lv.T[v] + e.lv.B[v]) }
-	default:
-		panic("param: unknown metric")
-	}
-	sort.Slice(nodes, func(i, j int) bool {
-		ki, kj := key(nodes[i]), key(nodes[j])
-		if ki != kj {
-			return ki < kj
-		}
-		return nodes[i] < nodes[j]
-	})
-	for i, nd := range nodes {
-		e.rank[nd] = int32(i)
-	}
+	return best, bestEST, bestObj
 }
 
 // computeMedians fills e.med with each node's lower median execution
 // time across processors, the reference point of RuleDL's objective. On
 // a homogeneous schedule this is simply the node weight.
 func (e *engine) computeMedians(g *dag.Graph, s *sched.Schedule) {
+	e.med = resize(e.med, g.NumNodes())
 	if s.Speeds() == nil {
-		for v := 0; v < g.NumNodes(); v++ {
+		for v := range e.med {
 			e.med[v] = g.Weight(dag.NodeID(v))
 		}
 		return
 	}
 	numProcs := s.NumProcs()
 	buf := e.execBuf[:0]
-	for v := 0; v < g.NumNodes(); v++ {
+	for v := range e.med {
 		buf = buf[:0]
 		for p := 0; p < numProcs; p++ {
 			// Insertion sort: numProcs is small (≤ 32 in the study).
@@ -237,4 +242,13 @@ func (e *engine) computeMedians(g *dag.Graph, s *sched.Schedule) {
 		e.med[v] = buf[(numProcs-1)/2]
 	}
 	e.execBuf = buf
+}
+
+// resize returns a slice of length n, reusing s's backing array when it
+// has the capacity.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }

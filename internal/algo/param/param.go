@@ -26,10 +26,10 @@
 //     against the partial schedule at each step and the best
 //     (node, processor) pair wins (dy).
 //
-// Four classic BNP algorithms are registered combinations, byte-
-// identical to the optimized kernels in internal/algo/bnp (pinned by
-// equivalence tests): HLFET = sl/est/ni/st, MCP = alap/est/ins/st,
-// ETF = sl/est/ni/dy, DLS = dl/est/ni/dy.
+// Four classic BNP algorithms are named combinations, and this package
+// is their only implementation (internal/algo/bnp forwards to it):
+// HLFET = sl/est/ni/st, MCP = alap/est/ins/st, ETF = sl/est/ni/dy,
+// DLS = dl/est/ni/dy.
 //
 // Degeneracies worth knowing about, all deliberate consequences of the
 // published component definitions rather than implementation accidents:
@@ -50,7 +50,6 @@ package param
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dag"
 	"repro/internal/sched"
@@ -225,58 +224,6 @@ func ParseCombo(s string) (Combo, error) {
 		return c, fmt.Errorf("param: cannot parse combo %q", s)
 	}
 	return Combo{Metric(m), Rule(r), Slot(sl), Regime(re)}, nil
-}
-
-// Registration is one named combo in the registry.
-type Registration struct {
-	// Name is the registered name, e.g. "MCP".
-	Name string
-	// Combo is the component combination it denotes.
-	Combo Combo
-	// Doc is a one-line description.
-	Doc string
-}
-
-var registry = map[string]Registration{}
-
-// Register adds a named combo to the registry. It fails on an empty
-// name, a duplicate, or an invalid combo.
-func Register(name string, c Combo, doc string) error {
-	if name == "" {
-		return fmt.Errorf("param: empty registration name")
-	}
-	if err := c.validate(); err != nil {
-		return err
-	}
-	if _, dup := registry[name]; dup {
-		return fmt.Errorf("param: duplicate registration %q", name)
-	}
-	registry[name] = Registration{Name: name, Combo: c, Doc: doc}
-	return nil
-}
-
-// MustRegister is Register that panics on error, for init-time
-// one-liners.
-func MustRegister(name string, c Combo, doc string) {
-	if err := Register(name, c, doc); err != nil {
-		panic(err)
-	}
-}
-
-// Lookup returns the combo registered under name.
-func Lookup(name string) (Combo, bool) {
-	reg, ok := registry[name]
-	return reg.Combo, ok
-}
-
-// Named returns all registrations sorted by name.
-func Named() []Registration {
-	out := make([]Registration, 0, len(registry))
-	for _, reg := range registry {
-		out = append(out, reg)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // Schedule runs the combo on g with numProcs processors and an optional

@@ -99,15 +99,6 @@ func TestRegistry(t *testing.T) {
 	if _, ok := Lookup("no-such-scheduler"); ok {
 		t.Error("Lookup of unregistered name succeeded")
 	}
-	if err := Register("", Combo{}, ""); err == nil {
-		t.Error("Register with empty name succeeded")
-	}
-	if err := Register("HLFET", Combo{}, ""); err == nil {
-		t.Error("duplicate Register succeeded")
-	}
-	if err := Register("bad-combo", Combo{Metric: Metric(99)}, ""); err == nil {
-		t.Error("Register of invalid combo succeeded")
-	}
 }
 
 func TestScheduleArgErrors(t *testing.T) {

@@ -67,11 +67,14 @@ type Tracer struct {
 	pendIns string
 
 	// One-shot priority stash: kernels report the priority value that
-	// selected the next node just before placing it; the placement hook
-	// attaches it to the matching record.
-	prioNode int32
-	prio     int64
-	hasPrio  bool
+	// selected the next node just before placing it, optionally with the
+	// slot policy they compared candidates under; the placement hook
+	// attaches both to the matching record.
+	prioNode  int32
+	prio      int64
+	hasPrio   bool
+	insertion bool // staged slot policy, valid when hasPolicy
+	hasPolicy bool
 
 	candBuf []Candidate // reusable scratch handed out via CandidateBuf
 }
@@ -111,7 +114,7 @@ func (t *Tracer) BeginRun(alg, class string, v, procs int) {
 	defer t.mu.Unlock()
 	t.runID++
 	t.step = 0
-	t.hasPrio = false
+	t.hasPrio, t.hasPolicy = false, false
 	label := alg
 	if t.pendIns != "" {
 		label += " " + t.pendIns
@@ -158,8 +161,30 @@ func (t *Tracer) InRun() bool { return t.inRun.Load() }
 // otherwise.
 func (t *Tracer) Priority(node int32, prio int64) {
 	t.mu.Lock()
-	t.prioNode, t.prio, t.hasPrio = node, prio, true
+	t.prioNode, t.prio, t.hasPrio, t.hasPolicy = node, prio, true, false
 	t.mu.Unlock()
+}
+
+// PriorityPolicy is Priority that also stages the slot policy the
+// kernel evaluated the node's candidate processors under (insertion or
+// append-only), so the placement record reports the ESTs the kernel
+// actually compared.
+func (t *Tracer) PriorityPolicy(node int32, prio int64, insertion bool) {
+	t.mu.Lock()
+	t.prioNode, t.prio, t.hasPrio = node, prio, true
+	t.insertion, t.hasPolicy = insertion, true
+	t.mu.Unlock()
+}
+
+// StagedPolicy returns the slot policy staged for node's imminent
+// placement; ok is false when the kernel staged none.
+func (t *Tracer) StagedPolicy(node int32) (insertion, ok bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.hasPolicy || t.prioNode != node {
+		return false, false
+	}
+	return t.insertion, true
 }
 
 // CandidateBuf returns a reusable empty candidate slice; the placement
@@ -180,7 +205,7 @@ func (t *Tracer) Placement(node, proc int32, start, finish int64, insertion bool
 	defer t.mu.Unlock()
 	t.candBuf = cands // reclaim the scratch for the next record
 	prio, hasPrio := t.prio, t.hasPrio && t.prioNode == node
-	t.hasPrio = false
+	t.hasPrio, t.hasPolicy = false, false
 	step := t.step
 	t.step++
 	switch t.format {

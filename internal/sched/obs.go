@@ -28,13 +28,19 @@ func (s *Schedule) tracePlacement(t *obs.Tracer, n dag.NodeID, p int, start, fin
 	// A start before the processor's last finish means the slot went
 	// into an idle gap: an insertion placement.
 	insertion := start < s.lastFin[p]
+	// Candidates are evaluated under the slot policy the scheduler
+	// staged; without one, the placement itself is the best evidence.
+	policy := insertion
+	if staged, ok := t.StagedPolicy(int32(n)); ok {
+		policy = staged
+	}
 	cands := t.CandidateBuf()
 	np := len(s.procs)
 	if np > traceCandidateCap {
 		np = traceCandidateCap
 	}
 	for q := 0; q < np; q++ {
-		est, ok := s.ESTOn(n, q, insertion)
+		est, ok := s.ESTOn(n, q, policy)
 		if !ok {
 			// Cluster-class schedulers may place a node before all its
 			// parents; there is no candidate set to report then.
