@@ -13,6 +13,6 @@ import (
 // stages is documented per algorithm in docs/observability.md.
 func TracePriority(n dag.NodeID, prio int64, insertion bool) {
 	if t := obs.ActiveTracer(); t != nil && t.InRun() {
-		t.PriorityPolicy(int32(n), prio, insertion)
+		t.Priority(int32(n), prio, insertion)
 	}
 }

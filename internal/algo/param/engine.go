@@ -122,6 +122,7 @@ func (e *engine) runDynamic(c Combo, g *dag.Graph, s *sched.Schedule, key []int6
 	if c.Rule == RuleDL {
 		e.computeMedians(g, s)
 	}
+	sl, bestProc, bestObj := e.lv.Static, e.bestProc, e.bestObj
 	ready := algo.AcquireReadySet(g)
 	defer ready.Release()
 	for _, m := range ready.Ready() {
@@ -134,7 +135,7 @@ func (e *engine) runDynamic(c Combo, g *dag.Graph, s *sched.Schedule, key []int6
 			// Maximize the dynamic level SL − objective, ties toward the
 			// smaller node ID (Sih & Lee).
 			for _, m := range ready.Ready() {
-				dl := e.lv.Static[m] - e.bestObj[m]
+				dl := sl[m] - bestObj[m]
 				if bestNode == dag.None || dl > bestVal || (dl == bestVal && m < bestNode) {
 					bestNode, bestVal = m, dl
 				}
@@ -144,19 +145,19 @@ func (e *engine) runDynamic(c Combo, g *dag.Graph, s *sched.Schedule, key []int6
 			// smaller ID (for MetricSL this is ETF's
 			// higher-static-level-then-smaller-ID chain).
 			for _, m := range ready.Ready() {
-				obj := e.bestObj[m]
+				obj := bestObj[m]
 				if bestNode == dag.None || obj < bestVal ||
 					(obj == bestVal && (key[m] > key[bestNode] || (key[m] == key[bestNode] && m < bestNode))) {
 					bestNode, bestVal = m, obj
 				}
 			}
 		}
-		placed := e.bestProc[bestNode]
+		placed := bestProc[bestNode]
 		ready.Pop(bestNode)
 		algo.TracePriority(bestNode, bestVal, insertion)
 		s.MustPlace(bestNode, int(placed), e.bestEST[bestNode])
 		for _, m := range ready.Ready() {
-			if e.bestProc[m] == placed {
+			if bestProc[m] == placed {
 				e.eval(c.Rule, insertion, s, m)
 			}
 		}

@@ -143,7 +143,7 @@ func TestTracerJSONL(t *testing.T) {
 	if !tr.InRun() {
 		t.Fatal("InRun false after BeginRun")
 	}
-	tr.Priority(7, 123)
+	tr.Priority(7, 123, false)
 	cands := append(tr.CandidateBuf(), Candidate{Proc: 0, EST: 5}, Candidate{Proc: 1, EST: 9})
 	tr.Placement(7, 0, 5, 15, false, cands)
 	tr.Placement(8, 1, 0, 4, true, nil) // no priority staged
@@ -194,7 +194,7 @@ func TestTracerChromeIsValidJSON(t *testing.T) {
 	tr := NewTracer(&buf, TraceChrome)
 	tr.SetInstance("genx", "rgnos-v40")
 	tr.BeginRun("ETF", "BNP", 40, 2)
-	tr.Priority(3, 99)
+	tr.Priority(3, 99, false)
 	tr.Placement(3, 1, 0, 8, false, append(tr.CandidateBuf(), Candidate{Proc: 0, EST: 2}))
 	tr.EndRun()
 	if err := tr.Close(); err != nil {

@@ -67,14 +67,13 @@ type Tracer struct {
 	pendIns string
 
 	// One-shot priority stash: kernels report the priority value that
-	// selected the next node just before placing it, optionally with the
-	// slot policy they compared candidates under; the placement hook
+	// selected the next node, and the slot policy they compared
+	// candidates under, just before placing it; the placement hook
 	// attaches both to the matching record.
 	prioNode  int32
 	prio      int64
+	insertion bool
 	hasPrio   bool
-	insertion bool // staged slot policy, valid when hasPolicy
-	hasPolicy bool
 
 	candBuf []Candidate // reusable scratch handed out via CandidateBuf
 }
@@ -114,7 +113,7 @@ func (t *Tracer) BeginRun(alg, class string, v, procs int) {
 	defer t.mu.Unlock()
 	t.runID++
 	t.step = 0
-	t.hasPrio, t.hasPolicy = false, false
+	t.hasPrio = false
 	label := alg
 	if t.pendIns != "" {
 		label += " " + t.pendIns
@@ -156,23 +155,13 @@ func (t *Tracer) EndRun() { t.inRun.Store(false) }
 func (t *Tracer) InRun() bool { return t.inRun.Load() }
 
 // Priority stages the priority value that selected node for the
-// immediately following placement. Kernels call it right before Place;
-// the value is attached to the next record for that node and dropped
-// otherwise.
-func (t *Tracer) Priority(node int32, prio int64) {
+// immediately following placement, with the slot policy (insertion or
+// append-only) under which the kernel compared the node's candidate
+// processors. Kernels call it right before Place; both are attached to
+// the next record for that node and dropped otherwise.
+func (t *Tracer) Priority(node int32, prio int64, insertion bool) {
 	t.mu.Lock()
-	t.prioNode, t.prio, t.hasPrio, t.hasPolicy = node, prio, true, false
-	t.mu.Unlock()
-}
-
-// PriorityPolicy is Priority that also stages the slot policy the
-// kernel evaluated the node's candidate processors under (insertion or
-// append-only), so the placement record reports the ESTs the kernel
-// actually compared.
-func (t *Tracer) PriorityPolicy(node int32, prio int64, insertion bool) {
-	t.mu.Lock()
-	t.prioNode, t.prio, t.hasPrio = node, prio, true
-	t.insertion, t.hasPolicy = insertion, true
+	t.prioNode, t.prio, t.insertion, t.hasPrio = node, prio, insertion, true
 	t.mu.Unlock()
 }
 
@@ -181,7 +170,7 @@ func (t *Tracer) PriorityPolicy(node int32, prio int64, insertion bool) {
 func (t *Tracer) StagedPolicy(node int32) (insertion, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.hasPolicy || t.prioNode != node {
+	if !t.hasPrio || t.prioNode != node {
 		return false, false
 	}
 	return t.insertion, true
@@ -205,7 +194,7 @@ func (t *Tracer) Placement(node, proc int32, start, finish int64, insertion bool
 	defer t.mu.Unlock()
 	t.candBuf = cands // reclaim the scratch for the next record
 	prio, hasPrio := t.prio, t.hasPrio && t.prioNode == node
-	t.hasPrio, t.hasPolicy = false, false
+	t.hasPrio = false
 	step := t.step
 	t.step++
 	switch t.format {
