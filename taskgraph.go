@@ -270,11 +270,11 @@ func Combos() []Combo { return param.Combos() }
 // ParseCombo parses a canonical combo name like "alap/est/ins/st".
 func ParseCombo(s string) (Combo, error) { return param.ParseCombo(s) }
 
-// ComboRegistration is one named combo (e.g. "MCP") in the registry.
+// ComboRegistration is one named classic combo (e.g. "MCP").
 type ComboRegistration = param.Registration
 
-// NamedCombos returns the registered classic algorithms expressed as
-// component combinations, sorted by name.
+// NamedCombos returns the classic algorithms that are component
+// combinations (HLFET, MCP, ETF, DLS), sorted by name.
 func NamedCombos() []ComboRegistration { return param.Named() }
 
 // ScheduleCombo runs one component combination on numProcs fully
