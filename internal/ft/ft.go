@@ -1,15 +1,18 @@
-// Package ft executes static schedules on machines that fail: a
-// fault-capable replay of the discrete-event execution model of
-// internal/sim, extended with fail-stop processor crashes, transient
-// link outages, and pluggable recovery policies that react to failures
-// at runtime.
+// Package ft studies static schedules on machines that fail: fail-stop
+// processor crashes, transient link outages, and pluggable recovery
+// policies that react to failures at runtime.
 //
-// The paper's benchmark — and PR 4's simulator — assume every processor
-// survives the execution. This package closes that gap: a compiled
-// Exec replays a clique schedule (sched.Schedule) or an APN schedule
-// (machine.Schedule) under the fault model of sim.FaultModel, where a
-// crash kills the task running on the processor and all unstarted work
-// placed there, and a RecoveryPolicy decides what happens next.
+// The paper's benchmark — and the fault-free simulator — assume every
+// processor survives the execution. This package closes that gap: a
+// compiled Exec replays a clique schedule (sched.Schedule) or an APN
+// schedule (machine.Schedule) under the fault model of sim.FaultModel,
+// where a crash kills the task running on the processor and all
+// unstarted work placed there, and a RecoveryPolicy decides what
+// happens next. The replay is internal/sim's one discrete-event
+// runtime: an Exec wraps a sim.Plan, and ft keeps no compiler, event
+// loop or random draws of its own. Crash and repair events exist only
+// when the model's MTBF is positive, outage windows only when its
+// LinkMTBF is, and recovery runs only on a crash.
 //
 // # Determinism contract
 //
@@ -21,10 +24,10 @@
 // algorithm and every recovery policy (paired comparisons), and results
 // are byte-reproducible at any worker count.
 //
-// With the zero fault model the engines reproduce sim.Plan.Run
-// byte-identically for every schedule, policy, perturbation, and
-// heterogeneous speed vector — the fault path is provably a superset of
-// the fault-free simulator (pinned by the invariant tests).
+// With the zero fault model a run is sim.Plan.Run on the same runtime,
+// so it reproduces the fault-free simulator byte-identically for every
+// schedule, policy, perturbation, and heterogeneous speed vector
+// (pinned by the invariant tests and the golden replay digests).
 //
 // # Recovery policies
 //
@@ -36,16 +39,18 @@
 // restricted by a per-processor availability mask. Checkpoint is
 // resubmit plus periodic checkpoints: a re-executed task resumes from
 // its last checkpoint boundary instead of from zero. Replicate
-// duplicates the top-k static-b-level tasks on distinct processors at
-// compile time and takes the first finisher at runtime. Recovery
+// duplicates the top-k static-b-level tasks on distinct processors when
+// crashes can happen and takes the first finisher at runtime. Recovery
 // policies apply to clique schedules; APN executions support None
 // (rerouting around failures is out of scope — see docs/faults.md).
 package ft
 
 import (
 	"fmt"
-	"math"
 
+	"repro/internal/machine"
+	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -56,26 +61,14 @@ type RecoveryPolicy interface {
 	// Name identifies the policy in experiment output.
 	Name() string
 
-	// prepare augments the runtime before execution starts (replicate
-	// adds its task copies here); most policies do nothing.
-	prepare(rt *runtime)
-
-	// onCrash reacts to the crash of processor p at the runtime's
-	// current clock, after the engine has killed the processor's work.
-	onCrash(rt *runtime, p int)
-
-	// interval returns the checkpoint period, or 0 when the policy does
-	// not checkpoint. The engine credits completed intervals of a killed
-	// task's progress against its re-execution.
-	interval() int64
+	// recovery returns the runtime hooks the policy enables.
+	recovery() sim.Recovery
 }
 
 type nonePolicy struct{}
 
-func (nonePolicy) Name() string          { return "none" }
-func (nonePolicy) prepare(*runtime)      {}
-func (nonePolicy) onCrash(*runtime, int) {}
-func (nonePolicy) interval() int64       { return 0 }
+func (nonePolicy) Name() string           { return "none" }
+func (nonePolicy) recovery() sim.Recovery { return sim.Recovery{} }
 
 // None is the degradation baseline: no recovery. Tasks lost to a crash
 // never finish and the run reports an SLO miss.
@@ -83,10 +76,8 @@ func None() RecoveryPolicy { return nonePolicy{} }
 
 type resubmitPolicy struct{}
 
-func (resubmitPolicy) Name() string               { return "resubmit" }
-func (resubmitPolicy) prepare(*runtime)           {}
-func (resubmitPolicy) onCrash(rt *runtime, p int) { rt.resubmit() }
-func (resubmitPolicy) interval() int64            { return 0 }
+func (resubmitPolicy) Name() string           { return "resubmit" }
+func (resubmitPolicy) recovery() sim.Recovery { return sim.Recovery{Resubmit: true} }
 
 // Resubmit remaps the unfinished suffix of the execution onto the
 // surviving processors at every crash, re-executing killed tasks from
@@ -95,10 +86,10 @@ func Resubmit() RecoveryPolicy { return resubmitPolicy{} }
 
 type checkpointPolicy struct{ every int64 }
 
-func (c checkpointPolicy) Name() string               { return "checkpoint" }
-func (c checkpointPolicy) prepare(*runtime)           {}
-func (c checkpointPolicy) onCrash(rt *runtime, p int) { rt.resubmit() }
-func (c checkpointPolicy) interval() int64            { return c.every }
+func (c checkpointPolicy) Name() string { return "checkpoint" }
+func (c checkpointPolicy) recovery() sim.Recovery {
+	return sim.Recovery{Resubmit: true, Checkpoint: c.every}
+}
 
 // Checkpoint is Resubmit with periodic checkpoints of period every: a
 // killed task resumes from its last completed checkpoint boundary
@@ -112,27 +103,18 @@ func Checkpoint(every int64) RecoveryPolicy {
 
 type replicatePolicy struct{ k int }
 
-func (r replicatePolicy) Name() string { return "replicate" }
-
-// prepare adds the replicas only when the fault model can actually
-// crash a processor: a replica that wins the first-finisher race can
-// reroute a child's data arrival through a cross-processor lag the
-// static schedule never paid, so speculative copies are pure overhead
-// (and would break the zero-fault invariant) on a reliable machine.
-func (r replicatePolicy) prepare(rt *runtime) {
-	if rt.opts.Faults.MTBF > 0 {
-		rt.addReplicas(r.k)
-	}
-}
-func (r replicatePolicy) onCrash(*runtime, int) {}
-func (r replicatePolicy) interval() int64       { return 0 }
+func (r replicatePolicy) Name() string           { return "replicate" }
+func (r replicatePolicy) recovery() sim.Recovery { return sim.Recovery{Replicas: r.k} }
 
 // Replicate duplicates the k tasks with the highest static b-level
 // (the critical-path prefix) on distinct processors in the spare
 // capacity of the static schedule; the execution takes each task's
 // first finisher and cancels the not-yet-started sibling. k is clamped
 // to the task count; on a single processor no replica can be placed,
-// and with a fault model that cannot crash processors none is.
+// and with a fault model that cannot crash processors none is: a
+// replica that wins the first-finisher race can reroute a child's data
+// arrival through a lag the static schedule never paid, so speculative
+// copies are pure overhead on a reliable machine.
 func Replicate(k int) RecoveryPolicy {
 	if k < 1 {
 		k = 1
@@ -166,14 +148,8 @@ type Options struct {
 	Deadline int64
 }
 
-// validate checks the options against a processor count.
-func (o *Options) validate(numProcs int) error {
-	if err := o.Sim.Validate(numProcs); err != nil {
-		return err
-	}
-	if err := o.Faults.Validate(); err != nil {
-		return err
-	}
+// validate checks the options the runtime does not check itself.
+func (o *Options) validate() error {
 	if o.Deadline < 0 {
 		return fmt.Errorf("ft: negative deadline %d", o.Deadline)
 	}
@@ -189,42 +165,66 @@ func (o *Options) recovery() RecoveryPolicy {
 }
 
 // Result reports one fault-injected execution of a schedule.
-type Result struct {
-	// Static is the makespan of the schedule as planned.
-	Static int64
-	// Finished reports whether every task completed. A run with lost
-	// tasks (or an aborted repair pass with no surviving processors)
-	// does not finish.
-	Finished bool
-	// Makespan is the realized makespan when Finished; 0 otherwise.
-	Makespan int64
-	// Ratio is Makespan/Static for a finished run (1 when Static is 0)
-	// and +Inf otherwise — an unfinished schedule misses every deadline.
-	Ratio float64
-	// Horizon is the time of the last processed event: the span the
-	// utilization accounting covers. Horizon >= Makespan on a finished
-	// run.
-	Horizon int64
-	// Crashes counts processor crash events within the horizon.
-	Crashes int
-	// Lost counts the tasks that never finished.
-	Lost int
-	// Busy, Idle, and Down split each processor's share of the horizon:
-	// Busy[p] + Idle[p] + Down[p] == Horizon for every p. Busy covers
-	// task execution (including killed partial runs and wasted replica
-	// runs); Down covers crash-to-repair intervals clamped to the
-	// horizon.
-	Busy, Idle, Down []int64
+type Result = sim.FaultResult
+
+// Exec is a compiled schedule ready for fault-injected execution: a
+// sim.Plan, which for clique schedules keeps the graph and speeds
+// recovery policies re-place work with. It is immutable after
+// compilation and safe for concurrent Run calls.
+type Exec struct {
+	plan     *sim.Plan
+	numProcs int
 }
 
-// ratio divides realized by static makespan, defining 0/0 as 1, as in
-// internal/sim.
-func ratio(makespan, static int64) float64 {
-	if static == 0 {
-		return 1
+// Compile translates a complete clique-model schedule (BNP and UNC
+// classes) into a fault-capable Exec.
+func Compile(s *sched.Schedule) (*Exec, error) {
+	plan, err := sim.Compile(s)
+	if err != nil {
+		return nil, err
 	}
-	return float64(makespan) / float64(static)
+	return &Exec{plan: plan, numProcs: s.NumProcs()}, nil
 }
 
-// never marks a repair that will not happen.
-const never int64 = math.MaxInt64
+// CompileAPN translates a complete APN schedule into a fault-capable
+// Exec; link outages stall its channel queues.
+func CompileAPN(s *machine.Schedule) (*Exec, error) {
+	plan, err := sim.CompileAPN(s)
+	if err != nil {
+		return nil, err
+	}
+	return &Exec{plan: plan, numProcs: s.NumProcs()}, nil
+}
+
+// Static returns the planned (unperturbed) makespan of the compiled
+// schedule.
+func (x *Exec) Static() int64 { return x.plan.Static() }
+
+// NumProcs returns the processor count of the compiled machine.
+func (x *Exec) NumProcs() int { return x.numProcs }
+
+// Run executes the schedule once under the given options and trial
+// number. Runs are deterministic in (Options, trial) and independent of
+// each other.
+func (x *Exec) Run(opts Options, trial int) (Result, error) {
+	var res Result
+	if err := opts.validate(); err != nil {
+		return res, err
+	}
+	return res, x.run(&opts, trial, &res)
+}
+
+// run executes one trial into res and records the ft.* counters.
+func (x *Exec) run(opts *Options, trial int, res *Result) error {
+	events, err := x.plan.RunFaults(opts.Sim, opts.Faults, opts.recovery().recovery(), trial, res)
+	if err != nil {
+		return err
+	}
+	if obs.MetricsEnabled() {
+		ftRuns.Inc()
+		ftEvents.Add(events)
+		ftCrashes.Add(int64(res.Crashes))
+		ftLost.Add(int64(res.Lost))
+	}
+	return nil
+}

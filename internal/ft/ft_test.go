@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/algo/apn"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/ft"
 	"repro/internal/gen"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -553,4 +555,85 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := x.Run(ft.Options{Sim: sim.Options{Speed: bad}}, 0); err == nil {
 		t.Fatal("mis-sized speed vector accepted")
 	}
+}
+
+// counterValue reads one registered obs counter.
+func counterValue(t *testing.T, name string) int64 {
+	t.Helper()
+	for _, s := range obs.SnapshotMetrics() {
+		if s.Name == name {
+			return s.Value
+		}
+	}
+	t.Fatalf("counter %s is not registered", name)
+	return 0
+}
+
+// TestAPNFaultRunsCounted checks that a fault-injected APN execution
+// is counted in the ft.* metrics like a clique one.
+func TestAPNFaultRunsCounted(t *testing.T) {
+	g, err := gen.Generate("layered", 7, gen.Params{"v": "40", "ccr": "2"})
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	s, err := apn.ScheduleHet("MH", g, machine.Hypercube(3), nil)
+	if err != nil {
+		t.Fatalf("schedule: %v", err)
+	}
+	x, err := ft.CompileAPN(s)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	static := x.Static()
+	opts := ft.Options{Faults: sim.FaultModel{MTBF: static, MeanRepair: max64(1, static/10), LinkMTBF: static, MeanOutage: max64(1, static/20)}}
+	obs.EnableMetrics(true)
+	defer obs.EnableMetrics(false)
+	runs, events := counterValue(t, "ft.runs"), counterValue(t, "ft.events")
+	if _, err := x.Run(opts, 0); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if got := counterValue(t, "ft.runs") - runs; got != 1 {
+		t.Errorf("ft.runs grew by %d for one APN run, want 1", got)
+	}
+	if counterValue(t, "ft.events") == events {
+		t.Error("ft.events did not grow for an APN run")
+	}
+}
+
+// TestConcurrentRuns runs one fresh Exec from several goroutines at
+// once under crash recovery, which shares the plan's lazily computed
+// b-levels, and requires every result to equal the sequential one.
+func TestConcurrentRuns(t *testing.T) {
+	const trials = 6
+	seq := faultyExec(t)
+	x := faultyExec(t)
+	policies := ft.Policies(max64(1, seq.Static()/16), 6)
+	want := make([][]ft.Result, len(policies))
+	for pi, pol := range policies {
+		for trial := 0; trial < trials; trial++ {
+			r, err := seq.Run(faultyOptions(seq, pol), trial)
+			if err != nil {
+				t.Fatalf("%s trial %d: %v", pol.Name(), trial, err)
+			}
+			want[pi] = append(want[pi], r)
+		}
+	}
+	var wg sync.WaitGroup
+	for pi, pol := range policies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for trial := 0; trial < trials; trial++ {
+				r, err := x.Run(faultyOptions(x, pol), trial)
+				if err != nil {
+					t.Errorf("%s trial %d: %v", pol.Name(), trial, err)
+					return
+				}
+				if !reflect.DeepEqual(r, want[pi][trial]) {
+					t.Errorf("%s trial %d: concurrent run differs:\n%+v\n%+v", pol.Name(), trial, r, want[pi][trial])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -52,26 +52,21 @@ func MonteCarlo(x *Exec, opts Options, trials int) (Stats, error) {
 	if trials < 1 {
 		return Stats{}, fmt.Errorf("ft: MonteCarlo needs at least one trial, got %d", trials)
 	}
-	if err := opts.validate(x.numProcs); err != nil {
+	if err := opts.validate(); err != nil {
 		return Stats{}, err
 	}
-	if x.apn != nil && opts.recovery().Name() != "none" {
-		return Stats{}, fmt.Errorf("ft: recovery policy %q is not supported on APN schedules", opts.recovery().Name())
-	}
 	st := Stats{
-		Static:    x.static,
+		Static:    x.Static(),
 		Trials:    trials,
 		Ratios:    make([]float64, trials),
 		Makespans: make([]int64, trials),
 	}
 	var sumRatio, sumBusy, sumIdle, sumDown float64
 	var sumCrashes int64
+	var res Result // its utilization slices are reused across trials
 	for t := 0; t < trials; t++ {
-		var res Result
-		if x.apn != nil {
-			res = x.apn.run(&opts, t)
-		} else {
-			res = x.clique.run(&opts, opts.recovery(), t)
+		if err := x.run(&opts, t, &res); err != nil {
+			return Stats{}, err
 		}
 		st.Ratios[t] = res.Ratio
 		sumCrashes += int64(res.Crashes)

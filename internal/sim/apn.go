@@ -10,14 +10,14 @@ import (
 
 // CompileAPN translates a complete APN schedule into an executable
 // Plan. Tasks become jobs exactly as in the clique model; in addition,
-// every committed link reservation becomes a message-transfer job
-// whose duration is the (perturbable) edge cost. Arcs chain each
-// message store-and-forward along its committed route — parent task to
-// first hop, hop to hop, last hop to child task — and chain every
-// directed link channel through its transfers in static reservation
-// order, which is the per-link contention queue: a transfer cannot
-// begin until the channel has finished every transfer planned before
-// it. Co-located and zero-cost edges release the child directly.
+// every committed link reservation becomes a message-transfer job on
+// its directed channel, whose duration is the (perturbable) edge cost.
+// Lag-free arcs chain each message store-and-forward along its
+// committed route — parent task to first hop, hop to hop, last hop to
+// child task — and each channel queue holds its transfers in static
+// reservation order, which is the per-link contention queue: a transfer
+// cannot begin until the channel has finished every transfer planned
+// before it. Co-located and zero-cost edges release the child directly.
 func CompileAPN(s *machine.Schedule) (*Plan, error) {
 	if !s.Complete() {
 		return nil, fmt.Errorf("sim: cannot compile a partial APN schedule (%d of %d tasks placed)",
@@ -25,37 +25,17 @@ func CompileAPN(s *machine.Schedule) (*Plan, error) {
 	}
 	g := s.Graph()
 	n := g.NumNodes()
-	var b planBuilder
-	b.plan.tasks = n
-	b.plan.numProcs = s.NumProcs()
-	b.plan.static = s.Makespan()
-	b.plan.jobs = make([]planJob, 0, n)
-	for v := 0; v < n; v++ {
-		node := dag.NodeID(v)
-		// As in Compile, the base duration comes from the schedule so
-		// heterogeneous execution times replay exactly.
-		b.addJob(planJob{
-			base:    s.FinishOf(node) - s.StartOf(node),
-			planned: s.StartOf(node),
-			ent:     taskEnt(node),
-			proc:    int32(s.ProcOf(node)),
-		})
-	}
-	for p := 0; p < s.NumProcs(); p++ {
-		slots := s.Slots(p)
-		for i := 1; i < len(slots); i++ {
-			b.addArc(int32(slots[i-1].Node), int32(slots[i].Node), 0, 0)
-		}
-	}
+	np := s.NumProcs()
+	b := newPlanBuilder(n, np, s.Makespan())
+	addTasks(b, g, s)
 	// Message-hop jobs, one per committed link reservation, chained
-	// along the route, plus per-channel transfer lists for the
-	// contention queues. Channels are keyed by directed endpoint pair
-	// and discovered in deterministic edge order.
+	// along the route. Channels are discovered in deterministic edge
+	// order.
 	type chanHop struct {
 		job   int32
 		start int64 // static reservation start, the queue order key
 	}
-	chanIndex := map[[2]int]int{}
+	chanIndex := map[[2]int]int32{}
 	var chanHops [][]chanHop
 	for v := 0; v < n; v++ {
 		child := dag.NodeID(v)
@@ -63,36 +43,34 @@ func CompileAPN(s *machine.Schedule) (*Plan, error) {
 			parent := pr.To
 			prev := int32(parent) // previous job in the message chain
 			s.EachMessageHop(parent, child, func(h machine.LinkHop) {
+				ci, ok := chanIndex[[2]int{h.From, h.To}]
+				if !ok {
+					ci = b.addChannel(h.From, h.To)
+					chanIndex[[2]int{h.From, h.To}] = ci
+					chanHops = append(chanHops, nil)
+				}
 				job := b.addJob(planJob{
 					base:    h.Finish - h.Start,
 					planned: h.Start,
 					ent:     commEnt(parent, child),
-					proc:    -1,
-				})
-				b.addArc(prev, job, 0, 0)
-				key := [2]int{h.From, h.To}
-				ci, ok := chanIndex[key]
-				if !ok {
-					ci = len(chanHops)
-					chanIndex[key] = ci
-					chanHops = append(chanHops, nil)
-				}
+				}, int32(np)+ci)
+				b.addArc(prev, job, 0)
 				chanHops[ci] = append(chanHops[ci], chanHop{job: job, start: h.Start})
 				prev = job
 			})
 			// The child waits for the last hop, or directly for the
 			// parent when the edge needed no link time.
-			b.addArc(prev, int32(child), 0, 0)
+			b.addArc(prev, int32(child), 0)
 		}
 	}
-	// Contention queues: chain each channel's transfers in static
-	// start order. Static reservations on one channel never overlap
-	// and have positive duration, so starts are distinct and the
-	// order is total.
-	for _, hops := range chanHops {
+	// Contention queues: each channel serves its transfers in static
+	// start order. Static reservations on one channel never overlap and
+	// have positive duration, so starts are distinct and the order is
+	// total.
+	for ci, hops := range chanHops {
 		sort.Slice(hops, func(i, j int) bool { return hops[i].start < hops[j].start })
-		for i := 1; i < len(hops); i++ {
-			b.addArc(hops[i-1].job, hops[i].job, 0, 0)
+		for _, h := range hops {
+			b.queues[np+ci] = append(b.queues[np+ci], h.job)
 		}
 	}
 	return b.finalize(), nil

@@ -29,25 +29,46 @@ func benchPlan(tb testing.TB) *Plan {
 	return plan
 }
 
-// TestRunAllocs asserts the steady-state trial loop allocates nothing:
-// the engine state is pooled and the event heap reused, so after one
-// warm-up run every further trial is allocation-free.
+// benchAPNPlan compiles an MH schedule of the same graph on an
+// 8-processor hypercube, with per-link message transfers.
+func benchAPNPlan(tb testing.TB) *Plan {
+	tb.Helper()
+	g, err := gen.Generate("rgnos", 7, gen.Params{"v": "100", "ccr": "1"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := apn.MH(g, machine.Hypercube(3))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	plan, err := CompileAPN(s)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return plan
+}
+
+// TestRunAllocs asserts the steady-state trial loop allocates nothing
+// for clique and APN plans alike: the runtime state is pooled and the
+// event heap reused, so after one warm-up run every further trial is
+// allocation-free.
 func TestRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector randomizes sync.Pool reuse; allocation counts are not meaningful")
 	}
-	plan := benchPlan(t)
 	opts := Options{Perturb: Perturbation{Dist: DistLognormal, TaskSpread: 0.3, CommSpread: 0.3}, Seed: 9}
-	trial := 0
-	run := func() {
-		if _, err := plan.Run(opts, trial); err != nil {
-			t.Fatal(err)
+	for name, plan := range map[string]*Plan{"clique": benchPlan(t), "apn": benchAPNPlan(t)} {
+		trial := 0
+		run := func() {
+			if _, err := plan.Run(opts, trial); err != nil {
+				t.Fatal(err)
+			}
+			trial++
 		}
-		trial++
-	}
-	run() // warm the engine pool
-	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
-		t.Errorf("steady-state trial allocates %.1f objects per run, want 0", allocs)
+		run() // warm the runtime pool
+		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+			t.Errorf("%s: steady-state trial allocates %.1f objects per run, want 0", name, allocs)
+		}
 	}
 }
 
@@ -94,18 +115,7 @@ func BenchmarkMonteCarlo(b *testing.B) {
 // BenchmarkRunAPN measures one perturbed execution of an APN schedule
 // with link contention on an 8-processor hypercube.
 func BenchmarkRunAPN(b *testing.B) {
-	g, err := gen.Generate("rgnos", 7, gen.Params{"v": "100", "ccr": "1"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := apn.MH(g, machine.Hypercube(3))
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := CompileAPN(s)
-	if err != nil {
-		b.Fatal(err)
-	}
+	plan := benchAPNPlan(b)
 	opts := Options{Perturb: Perturbation{Dist: DistLognormal, TaskSpread: 0.3, CommSpread: 0.3}, Seed: 9}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -8,11 +8,12 @@ import (
 )
 
 // Compile translates a complete clique-model schedule (BNP and UNC
-// classes) into an executable Plan. Jobs are the tasks; arcs encode
-// the static per-processor execution order (consecutive slots chain)
-// and every precedence edge, with the edge's communication cost as a
-// perturbable lag when the endpoints sit on different processors and
-// no lag when they are co-located.
+// classes) into an executable Plan. Jobs are the tasks; each processor
+// queue holds its tasks in the static start order, and every precedence
+// edge becomes an arc carrying the edge's communication cost, a
+// perturbable lag paid only when the endpoints run on different
+// processors. The plan keeps the graph and the schedule's speed vector
+// so fault-injected runs can re-place and replicate tasks.
 func Compile(s *sched.Schedule) (*Plan, error) {
 	if !s.Complete() {
 		return nil, fmt.Errorf("sim: cannot compile a partial schedule (%d of %d tasks placed)",
@@ -20,12 +21,36 @@ func Compile(s *sched.Schedule) (*Plan, error) {
 	}
 	g := s.Graph()
 	n := g.NumNodes()
-	var b planBuilder
-	b.plan.tasks = n
-	b.plan.numProcs = s.NumProcs()
-	b.plan.static = s.Makespan()
-	b.plan.jobs = make([]planJob, 0, n)
+	b := newPlanBuilder(n, s.NumProcs(), s.Makespan())
+	addTasks(b, g, s)
 	for v := 0; v < n; v++ {
+		node := dag.NodeID(v)
+		for _, a := range g.Succs(node) {
+			b.addArc(int32(node), int32(a.To), a.Weight)
+		}
+	}
+	plan := b.finalize()
+	plan.g = g
+	if sp := s.Speeds(); sp != nil {
+		plan.speeds = append([]float64(nil), sp...)
+	}
+	return plan, nil
+}
+
+// placed is the view of a complete schedule, clique or APN, that task
+// compilation reads.
+type placed interface {
+	NumProcs() int
+	ProcOf(dag.NodeID) int
+	StartOf(dag.NodeID) int64
+	FinishOf(dag.NodeID) int64
+	Slots(p int) []sched.Slot
+}
+
+// addTasks adds one job per task, on its processor, and queues every
+// processor's tasks in the static start order.
+func addTasks(b *planBuilder, g *dag.Graph, s placed) {
+	for v := 0; v < g.NumNodes(); v++ {
 		node := dag.NodeID(v)
 		// The base duration is read off the schedule, not the graph, so
 		// a heterogeneous schedule (per-processor speeds) replays the
@@ -35,30 +60,13 @@ func Compile(s *sched.Schedule) (*Plan, error) {
 			base:    s.FinishOf(node) - s.StartOf(node),
 			planned: s.StartOf(node),
 			ent:     taskEnt(node),
-			proc:    int32(s.ProcOf(node)),
-		})
+		}, int32(s.ProcOf(node)))
 	}
-	// Processor-exclusivity chains: each processor runs its tasks in
-	// the static start order.
 	for p := 0; p < s.NumProcs(); p++ {
-		slots := s.Slots(p)
-		for i := 1; i < len(slots); i++ {
-			b.addArc(int32(slots[i-1].Node), int32(slots[i].Node), 0, 0)
+		for _, sl := range s.Slots(p) {
+			b.queues[p] = append(b.queues[p], int32(sl.Node))
 		}
 	}
-	// Precedence: co-located data is free, remote data pays the
-	// (perturbable) edge cost.
-	for v := 0; v < n; v++ {
-		node := dag.NodeID(v)
-		for _, a := range g.Succs(node) {
-			if s.ProcOf(node) == s.ProcOf(a.To) {
-				b.addArc(int32(node), int32(a.To), 0, 0)
-			} else {
-				b.addArc(int32(node), int32(a.To), a.Weight, commEnt(node, a.To))
-			}
-		}
-	}
-	return b.finalize(), nil
 }
 
 // Simulate compiles and executes a complete clique-model schedule once

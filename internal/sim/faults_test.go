@@ -3,29 +3,29 @@ package sim
 import "testing"
 
 func TestExpDurationDeterministicAndPositive(t *testing.T) {
-	trial := TrialSeed(7, 3)
+	trial := trialSeed(7, 3)
 	for k := 0; k < 200; k++ {
-		ent := ProcFaultEntity(2, k)
-		d := ExpDuration(1000, trial, ent)
+		ent := procFaultEnt(2, k)
+		d := expDuration(1000, trial, ent)
 		if d < 1 {
 			t.Fatalf("draw %d: non-positive duration %d", k, d)
 		}
-		if d2 := ExpDuration(1000, trial, ent); d2 != d {
+		if d2 := expDuration(1000, trial, ent); d2 != d {
 			t.Fatalf("draw %d: repeat draw %d != %d", k, d2, d)
 		}
 	}
 	// A tiny mean still yields at least one tick.
-	if d := ExpDuration(1, trial, ProcFaultEntity(0, 0)); d < 1 {
+	if d := expDuration(1, trial, procFaultEnt(0, 0)); d < 1 {
 		t.Fatalf("mean-1 draw yields %d", d)
 	}
 }
 
 func TestExpDurationMeanRoughlyMatches(t *testing.T) {
 	const mean, draws = 10_000, 4000
-	trial := TrialSeed(11, 0)
+	trial := trialSeed(11, 0)
 	var sum int64
 	for k := 0; k < draws; k++ {
-		sum += ExpDuration(mean, trial, ProcFaultEntity(1, k))
+		sum += expDuration(mean, trial, procFaultEnt(1, k))
 	}
 	got := float64(sum) / draws
 	if got < 0.9*mean || got > 1.1*mean {
@@ -44,7 +44,7 @@ func TestFaultEntityKeysDistinct(t *testing.T) {
 	}
 	for p := 0; p < 8; p++ {
 		for k := 0; k < 16; k++ {
-			add(ProcFaultEntity(p, k), "proc")
+			add(procFaultEnt(p, k), "proc")
 		}
 	}
 	for u := 0; u < 8; u++ {
@@ -53,7 +53,7 @@ func TestFaultEntityKeysDistinct(t *testing.T) {
 				continue
 			}
 			for k := 0; k < 16; k++ {
-				add(LinkFaultEntity(u, v, k), "link")
+				add(linkFaultEnt(u, v, k), "link")
 			}
 		}
 	}

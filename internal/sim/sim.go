@@ -14,17 +14,24 @@
 //
 // # Execution model
 //
-// A schedule is compiled once into a Plan: a dependency graph of jobs
-// (task executions, and per-link message transfers for APN schedules)
-// whose arcs encode the three constraint kinds a static schedule
-// resolves — precedence with communication delay, processor
-// exclusivity (each processor runs its tasks in the static start
-// order), and, for APN schedules, link exclusivity (each directed
-// channel serves its transfers in the static reservation order,
-// store-and-forward along the committed route). Running the plan is a
-// discrete-event simulation over an event heap (internal/pq): when a
-// job's dependencies clear it starts, its perturbed duration elapses,
+// A schedule is compiled once into a Plan: jobs (task executions, and
+// per-link message transfers for APN schedules), precedence arcs that
+// carry the communication delay, and one static FIFO queue per
+// resource — each processor runs its tasks in the static start order
+// and, for APN schedules, each directed channel serves its transfers in
+// the static reservation order, store-and-forward along the committed
+// route. Running the plan is a discrete-event simulation over an event
+// heap (internal/pq): a job starts when its predecessors have finished
+// and it heads its resource's queue, its perturbed duration elapses,
 // and its completion releases successors.
+//
+// One pooled runtime executes every plan. Run and MonteCarlo use it
+// without faults; RunFaults, which internal/ft calls, adds a
+// FaultModel and a Recovery. Crash and repair events exist only when
+// the model's MTBF is positive and channel outages only when its
+// LinkMTBF is; recovery runs only on a crash and per-task copies exist
+// only once replicas are added, so a run without faults takes the
+// fault-free path exactly.
 //
 // Two dispatch policies are supported. PolicyTimetable (the default)
 // releases every job no earlier than its planned static start, so
@@ -47,11 +54,14 @@
 // count. All hops of one message share the edge's multiplier.
 //
 // Compiling once and running many trials is allocation-light: the
-// per-trial engine state lives in a sync.Pool and the event heap is
-// reused, so steady-state trials allocate nothing.
+// per-trial runtime state lives in a sync.Pool and the event heap is
+// reused, so steady-state fault-free trials allocate nothing.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Distribution selects the shape of the multiplicative perturbation
 // applied to task durations and communication costs.
@@ -153,8 +163,8 @@ func (o *Options) validate(numProcs int) error {
 		return fmt.Errorf("sim: unknown policy %d", int(o.Policy))
 	}
 	for _, s := range [...]float64{o.Perturb.TaskSpread, o.Perturb.CommSpread} {
-		if s < 0 {
-			return fmt.Errorf("sim: negative spread %g", s)
+		if !(s >= 0) || math.IsInf(s, 1) {
+			return fmt.Errorf("sim: spread %g must be finite and non-negative", s)
 		}
 		if o.Perturb.Dist == DistUniform && s > 1 {
 			return fmt.Errorf("sim: uniform spread %g > 1 would allow negative durations", s)
@@ -165,8 +175,8 @@ func (o *Options) validate(numProcs int) error {
 			return fmt.Errorf("sim: %d speed factors for %d processors", len(o.Speed), numProcs)
 		}
 		for p, s := range o.Speed {
-			if s <= 0 {
-				return fmt.Errorf("sim: speed factor %g for processor %d must be positive", s, p)
+			if !(s > 0) || math.IsInf(s, 1) {
+				return fmt.Errorf("sim: speed factor %g for processor %d must be finite and positive", s, p)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dag"
@@ -242,6 +243,13 @@ func TestOptionsValidation(t *testing.T) {
 		{Speed: []float64{1}},          // wrong length
 		{Speed: []float64{1, 0}},       // non-positive factor
 		{Speed: []float64{1, 1, 1, 1}}, // wrong length
+		{Perturb: Perturbation{Dist: DistLognormal, TaskSpread: math.NaN()}},
+		{Perturb: Perturbation{Dist: DistUniform, TaskSpread: math.NaN()}},
+		{Perturb: Perturbation{Dist: DistUniform, CommSpread: math.NaN()}},
+		{Perturb: Perturbation{Dist: DistLognormal, CommSpread: math.Inf(1)}},
+		{Speed: []float64{1, math.NaN()}},
+		{Speed: []float64{math.Inf(1), 1}},
+		{Speed: []float64{1, math.Inf(-1)}},
 	}
 	for i, opts := range bad {
 		if _, err := Simulate(s, opts); err == nil {
