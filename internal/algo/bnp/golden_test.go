@@ -10,10 +10,11 @@ import (
 	"testing"
 )
 
-// goldenFile holds SHA-256 digests of Schedule.String() for HLFET, MCP,
-// ETF and DLS through ScheduleHet, recorded from the hand-written
-// kernels these algorithms had before they became component combos of
-// internal/algo/param. One line per case: "<key> <hex digest>".
+// goldenFile holds SHA-256 digests of Schedule.String() for the six BNP
+// algorithms through ScheduleHet. The HLFET, MCP, ETF and DLS digests
+// were recorded from the hand-written kernels these algorithms had
+// before they became component combos of internal/algo/param. One line
+// per case: "<key> <hex digest>".
 const goldenFile = "testdata/golden_schedules.txt"
 
 // goldenSpeeds is the non-uniform speed vector of the heterogeneous
@@ -56,7 +57,7 @@ func readGolden(t *testing.T) map[string]string {
 }
 
 // TestScheduleHetMatchesGoldenDigests pins every homogeneous and
-// heterogeneous schedule of the four list schedulers over every
+// heterogeneous schedule of the six BNP algorithms over every
 // registered generator family × seeds × CCRs × processor counts to the
 // recorded digests. A missing or differing case prints the line the
 // golden file would need.
@@ -72,7 +73,7 @@ func TestScheduleHetMatchesGoldenDigests(t *testing.T) {
 						if het {
 							speeds = goldenSpeeds[:procs]
 						}
-						for _, alg := range []string{"HLFET", "MCP", "ETF", "DLS"} {
+						for _, alg := range []string{"HLFET", "MCP", "ETF", "DLS", "ISH", "LAST"} {
 							s, err := ScheduleHet(alg, g, procs, speeds)
 							if err != nil {
 								t.Fatalf("%s on %s: %v", alg, fam, err)

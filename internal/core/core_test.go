@@ -5,6 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/algo/apn"
+	"repro/internal/algo/bnp"
+	"repro/internal/algo/param"
+	"repro/internal/algo/unc"
 	"repro/internal/dag"
 	"repro/internal/machine"
 )
@@ -42,25 +46,80 @@ func TestRegistryShape(t *testing.T) {
 	}
 }
 
+// measured is what RunOn reads off a schedule of either model.
+type measured interface {
+	Makespan() int64
+	NSL() float64
+	ProcessorsUsed() int
+}
+
+// TestRunAllClasses checks that RunOn measures the kernel its class
+// package exports: on every generator family, each registry algorithm
+// and each classic combo reports the length, NSL and processor count of
+// the schedule from Algorithms()[name] (Combo.Schedule for PARAM) on a
+// homogeneous machine, and of ScheduleHet on a heterogeneous one.
 func TestRunAllClasses(t *testing.T) {
-	g := smallGraph()
 	topo := machine.Hypercube(3)
-	for _, a := range All() {
-		res, err := a.Run(g, 4, topo)
-		if err != nil {
-			t.Fatalf("%s(%s): %v", a.Name, a.Class, err)
-		}
-		if res.Length <= 0 {
-			t.Errorf("%s: non-positive length %d", a.Name, res.Length)
-		}
-		if res.NSL < 1.0-1e-9 {
-			t.Errorf("%s: NSL %v < 1", a.Name, res.NSL)
-		}
-		if res.Procs < 1 {
-			t.Errorf("%s: no processors used", a.Name)
-		}
-		if res.Algorithm != a.Name || res.Class != a.Class {
-			t.Errorf("%s: result labels wrong: %+v", a.Name, res)
+	const procs = 4
+	algs := All()
+	for _, reg := range param.Named() {
+		algs = append(algs, ParamAlgorithm(reg.Combo))
+	}
+	for fam, g := range hetTestGraphs(t, 1) {
+		for _, het := range []bool{false, true} {
+			for _, a := range algs {
+				var speeds []float64
+				if het {
+					switch a.Class {
+					case UNC:
+						speeds = componentsHetSpeeds(g.NumNodes())
+					case APN:
+						speeds = componentsHetSpeeds(topo.NumProcs())
+					default:
+						speeds = componentsHetSpeeds(procs)
+					}
+				}
+				res, err := a.RunOn(g, procs, speeds, topo)
+				if err != nil {
+					t.Fatalf("%s(%s) on %s: %v", a.Name, a.Class, fam, err)
+				}
+				if res.Algorithm != a.Name || res.Class != a.Class {
+					t.Errorf("%s: result labels wrong: %+v", a.Name, res)
+				}
+				var s measured
+				switch a.Class {
+				case BNP:
+					if het {
+						s, err = bnp.ScheduleHet(a.Name, g, procs, speeds)
+					} else {
+						s, err = bnp.Algorithms()[a.Name](g, procs)
+					}
+				case UNC:
+					if het {
+						s, err = unc.ScheduleHet(a.Name, g, speeds)
+					} else {
+						s, err = unc.Algorithms()[a.Name](g)
+					}
+				case APN:
+					if het {
+						s, err = apn.ScheduleHet(a.Name, g, topo, speeds)
+					} else {
+						s, err = apn.Algorithms()[a.Name](g, topo)
+					}
+				case PARAM:
+					var c param.Combo
+					if c, err = param.ParseCombo(a.Name); err == nil {
+						s, err = c.Schedule(g, procs, speeds)
+					}
+				}
+				if err != nil {
+					t.Fatalf("%s(%s) direct on %s: %v", a.Name, a.Class, fam, err)
+				}
+				if res.Length != s.Makespan() || res.NSL != s.NSL() || res.Procs != s.ProcessorsUsed() {
+					t.Errorf("%s(%s) on %s, het=%v: RunOn measured length %d NSL %v procs %d, kernel gives %d %v %d",
+						a.Name, a.Class, fam, het, res.Length, res.NSL, res.Procs, s.Makespan(), s.NSL(), s.ProcessorsUsed())
+				}
+			}
 		}
 	}
 }
