@@ -33,6 +33,8 @@ package optimal
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/algo/bnp"
@@ -110,18 +112,20 @@ func Schedule(g *dag.Graph, numProcs int, opts Options) (*Result, error) {
 
 	// Incumbent: the best schedule over every clique-model heuristic,
 	// unless the caller seeds a bound. A tight incumbent is what lets
-	// the communication-heavy (CCR 10) instances close.
+	// the communication-heavy (CCR 10) instances close. The heuristics
+	// run in name order and only a strict improvement replaces the
+	// incumbent, so ties always keep the same schedule.
 	se.bestLen = opts.UpperBound + 1
 	if opts.UpperBound <= 0 {
-		for _, h := range bnp.Algorithms() {
-			if m, err := h(g, numProcs); err == nil {
+		for _, name := range slices.Sorted(maps.Keys(bnp.Algorithms())) {
+			if m, err := bnp.ScheduleHet(name, g, numProcs, nil); err == nil {
 				if se.best == nil || m.Length() < se.bestLen {
 					se.best, se.bestLen = m, m.Length()
 				}
 			}
 		}
-		for _, h := range unc.Algorithms() {
-			if d, err := h(g); err == nil && d.ProcessorsUsed() <= numProcs {
+		for _, name := range slices.Sorted(maps.Keys(unc.Algorithms())) {
+			if d, err := unc.ScheduleHet(name, g, nil); err == nil && d.ProcessorsUsed() <= numProcs {
 				if dl := d.Length(); se.best == nil || dl < se.bestLen {
 					se.best, se.bestLen = compact(g, d, numProcs), dl
 				}

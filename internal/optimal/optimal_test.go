@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/algo/bnp"
 	"repro/internal/dag"
+	"repro/internal/gen"
 	"repro/internal/sched"
 )
 
@@ -268,5 +269,29 @@ func TestRGBOSSizedInstanceCloses(t *testing.T) {
 	}
 	if err := res.Schedule.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScheduleDeterministic pins the returned schedule, not only its
+// length: heuristics tied at the best length must always seed the same
+// incumbent. On this instance several heuristics tie; a one-expansion
+// budget returns the incumbent itself, as the full search does here
+// when it finds nothing strictly shorter.
+func TestScheduleDeterministic(t *testing.T) {
+	g, err := gen.Generate("rgbos", 6, gen.Params{"v": "10"})
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	var first string
+	for i := 0; i < 20; i++ {
+		res, err := Schedule(g, 4, Options{MaxExpansions: 1})
+		if err != nil {
+			t.Fatalf("Schedule: %v", err)
+		}
+		if got := res.Schedule.String(); i == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("run %d returned a different schedule:\n%s\nwant:\n%s", i, got, first)
+		}
 	}
 }
