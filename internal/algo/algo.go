@@ -137,3 +137,22 @@ func MinBy(ready []dag.NodeID, priority func(dag.NodeID) int64) dag.NodeID {
 	}
 	return best
 }
+
+// BLevelOrder returns the nodes in descending b-level order, ties
+// toward the smaller node ID, kept topological by a priority-driven
+// Kahn pass (for positive node weights descending b-level is already
+// topological; zero-weight nodes need the guard). This is the standard
+// intra-cluster order used when converting an assignment into a
+// schedule.
+func BLevelOrder(g *dag.Graph) []dag.NodeID {
+	bl := dag.BLevels(g)
+	ready := NewReadySet(g)
+	order := make([]dag.NodeID, 0, g.NumNodes())
+	for !ready.Empty() {
+		n := MaxBy(ready.Ready(), func(n dag.NodeID) int64 { return bl[n] })
+		ready.Pop(n)
+		ready.MarkScheduled(g, n)
+		order = append(order, n)
+	}
+	return order
+}

@@ -24,25 +24,16 @@ type Scheduler func(g *dag.Graph, topo *machine.Topology) (*machine.Schedule, er
 
 // Algorithms returns the four APN algorithms by name.
 func Algorithms() map[string]Scheduler {
-	return map[string]Scheduler{
-		"MH":  MH,
-		"DLS": DLS,
-		"BU":  BU,
-		"BSA": BSA,
+	out := make(map[string]Scheduler, len(runs))
+	for name := range runs {
+		out[name] = func(g *dag.Graph, topo *machine.Topology) (*machine.Schedule, error) {
+			return ScheduleHet(name, g, topo, nil)
+		}
 	}
+	return out
 }
 
-func checkArgs(g *dag.Graph, topo *machine.Topology) error {
-	if g == nil {
-		return fmt.Errorf("apn: nil graph")
-	}
-	if topo == nil {
-		return fmt.Errorf("apn: nil topology")
-	}
-	return nil
-}
-
-// runs maps algorithm names to their speed-threaded inner entry points.
+// runs binds every APN name to its speed-threaded scheduler.
 var runs = map[string]func(*dag.Graph, *machine.Topology, []float64) (*machine.Schedule, error){
 	"MH":  runMH,
 	"DLS": runDLS,
@@ -60,8 +51,11 @@ func ScheduleHet(name string, g *dag.Graph, topo *machine.Topology, speeds []flo
 	if !ok {
 		return nil, fmt.Errorf("apn: unknown algorithm %q", name)
 	}
-	if err := checkArgs(g, topo); err != nil {
-		return nil, err
+	if g == nil {
+		return nil, fmt.Errorf("apn: nil graph")
+	}
+	if topo == nil {
+		return nil, fmt.Errorf("apn: nil topology")
 	}
 	return run(g, topo, speeds)
 }

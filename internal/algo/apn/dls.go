@@ -17,10 +17,7 @@ import (
 // APN algorithm in the paper's running-time comparison (section 6.4.3)
 // while keeping its schedule quality stable across graph sizes.
 func DLS(g *dag.Graph, topo *machine.Topology) (*machine.Schedule, error) {
-	if err := checkArgs(g, topo); err != nil {
-		return nil, err
-	}
-	return runDLS(g, topo, nil)
+	return ScheduleHet("DLS", g, topo, nil)
 }
 
 // runDLS is APN DLS with an optional heterogeneous speed vector.

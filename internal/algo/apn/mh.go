@@ -22,10 +22,7 @@ import (
 // graphs" (section 6.4.1) — priorities ignore communication, and no
 // insertion is attempted.
 func MH(g *dag.Graph, topo *machine.Topology) (*machine.Schedule, error) {
-	if err := checkArgs(g, topo); err != nil {
-		return nil, err
-	}
-	return runMH(g, topo, nil)
+	return ScheduleHet("MH", g, topo, nil)
 }
 
 // runMH is MH with an optional heterogeneous speed vector.

@@ -29,17 +29,15 @@ import (
 // Scheduler is the common signature of all BNP algorithms.
 type Scheduler func(g *dag.Graph, numProcs int) (*sched.Schedule, error)
 
-// Algorithms returns the BNP algorithms in the order used by the paper's
-// tables: HLFET, ISH, ETF, LAST, MCP, DLS.
+// Algorithms returns the six BNP algorithms by name.
 func Algorithms() map[string]Scheduler {
-	return map[string]Scheduler{
-		"HLFET": HLFET,
-		"ISH":   ISH,
-		"ETF":   ETF,
-		"LAST":  LAST,
-		"MCP":   MCP,
-		"DLS":   DLS,
+	out := make(map[string]Scheduler, len(algorithms))
+	for name := range algorithms {
+		out[name] = func(g *dag.Graph, numProcs int) (*sched.Schedule, error) {
+			return ScheduleHet(name, g, numProcs, nil)
+		}
 	}
+	return out
 }
 
 // HLFET is the Highest Level First with Estimated Times algorithm of
@@ -84,39 +82,50 @@ func DLS(g *dag.Graph, numProcs int) (*sched.Schedule, error) {
 // queries and execution times are speed-aware; the component schedulers
 // of internal/algo/param add heterogeneity-aware selection rules.
 func ScheduleHet(name string, g *dag.Graph, numProcs int, speeds []float64) (*sched.Schedule, error) {
-	if c, ok := param.Lookup(name); ok {
-		return c.Schedule(g, numProcs, speeds)
-	}
-	run, ok := bespoke[name]
+	run, ok := algorithms[name]
 	if !ok {
 		return nil, fmt.Errorf("bnp: unknown algorithm %q", name)
 	}
-	if g == nil {
-		return nil, fmt.Errorf("bnp: nil graph")
-	}
-	if numProcs < 1 {
-		return nil, fmt.Errorf("bnp: need at least one processor, got %d", numProcs)
-	}
-	s := sched.Acquire(g, numProcs)
-	if speeds != nil {
-		if err := s.SetSpeeds(speeds); err != nil {
-			s.Release()
-			return nil, err
-		}
-	}
-	lv := levelsPool.Get().(*dag.Levels)
-	defer levelsPool.Put(lv)
-	lv.Compute(g)
-	run(g, s, lv.Static)
-	return s, nil
+	return run(g, numProcs, speeds)
 }
 
-// bespoke maps the algorithms that are not points of the component
-// space to their loops, which run on a prepared schedule with the
+// algorithms binds every BNP name to its speed-aware scheduler: the
+// classic combos of internal/algo/param (HLFET, MCP, ETF, DLS) and the
+// ISH and LAST loops, which are not points of the component space.
+var algorithms = func() map[string]func(*dag.Graph, int, []float64) (*sched.Schedule, error) {
+	m := map[string]func(*dag.Graph, int, []float64) (*sched.Schedule, error){
+		"ISH":  bespoke(runISH),
+		"LAST": bespoke(runLAST),
+	}
+	for _, reg := range param.Named() {
+		m[reg.Name] = reg.Combo.Schedule
+	}
+	return m
+}()
+
+// bespoke wraps a loop that runs on a prepared schedule with the
 // graph's static levels.
-var bespoke = map[string]func(g *dag.Graph, s *sched.Schedule, sl []int64){
-	"ISH":  runISH,
-	"LAST": runLAST,
+func bespoke(run func(g *dag.Graph, s *sched.Schedule, sl []int64)) func(*dag.Graph, int, []float64) (*sched.Schedule, error) {
+	return func(g *dag.Graph, numProcs int, speeds []float64) (*sched.Schedule, error) {
+		if g == nil {
+			return nil, fmt.Errorf("bnp: nil graph")
+		}
+		if numProcs < 1 {
+			return nil, fmt.Errorf("bnp: need at least one processor, got %d", numProcs)
+		}
+		s := sched.Acquire(g, numProcs)
+		if speeds != nil {
+			if err := s.SetSpeeds(speeds); err != nil {
+				s.Release()
+				return nil, err
+			}
+		}
+		lv := levelsPool.Get().(*dag.Levels)
+		defer levelsPool.Put(lv)
+		lv.Compute(g)
+		run(g, s, lv.Static)
+		return s, nil
+	}
 }
 
 // levelsPool recycles the level arrays of the bespoke loops.

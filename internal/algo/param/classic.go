@@ -2,8 +2,8 @@ package param
 
 // classics are the classic BNP algorithms that are pure points of the
 // component space, sorted by name. The engine is their only
-// implementation: internal/algo/bnp forwards to these combos, and
-// golden digests there pin their schedules.
+// implementation: internal/algo/bnp binds these names to their combos,
+// and golden digests there pin their schedules.
 var classics = [...]Registration{
 	{"DLS", Combo{MetricDL, RuleEST, SlotNonInsertion, RegimeDynamic},
 		"Sih/Lee 1993: highest dynamic level (static level minus start) each step"},

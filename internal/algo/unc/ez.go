@@ -3,6 +3,7 @@ package unc
 import (
 	"sort"
 
+	"repro/internal/algo"
 	"repro/internal/dag"
 	"repro/internal/sched"
 )
@@ -19,10 +20,7 @@ import (
 // critical-path driven; the paper finds it and LC generally behind the
 // greedy BNP algorithms (section 6.1), at O(e·(e+v)) cost.
 func EZ(g *dag.Graph) (*sched.Schedule, error) {
-	if err := checkGraph(g); err != nil {
-		return nil, err
-	}
-	return runEZ(g, nil)
+	return ScheduleHet("EZ", g, nil)
 }
 
 // runEZ is EZ with an optional heterogeneous speed prefix: both the
@@ -54,7 +52,7 @@ func runEZ(g *dag.Graph, speeds []float64) (*sched.Schedule, error) {
 		return edges[i].to < edges[j].to
 	})
 
-	order := blevelOrder(g)
+	order := algo.BLevelOrder(g)
 	assign := make([]int, n) // node -> cluster label
 	members := make([][]dag.NodeID, n)
 	for v := 0; v < n; v++ {

@@ -17,7 +17,6 @@ package unc
 import (
 	"fmt"
 
-	"repro/internal/algo"
 	"repro/internal/dag"
 	"repro/internal/sched"
 )
@@ -27,23 +26,14 @@ type Scheduler func(g *dag.Graph) (*sched.Schedule, error)
 
 // Algorithms returns the five UNC algorithms by name.
 func Algorithms() map[string]Scheduler {
-	return map[string]Scheduler{
-		"EZ":  EZ,
-		"LC":  LC,
-		"DSC": DSC,
-		"MD":  MD,
-		"DCP": DCP,
+	out := make(map[string]Scheduler, len(runs))
+	for name := range runs {
+		out[name] = func(g *dag.Graph) (*sched.Schedule, error) { return ScheduleHet(name, g, nil) }
 	}
+	return out
 }
 
-func checkGraph(g *dag.Graph) error {
-	if g == nil {
-		return fmt.Errorf("unc: nil graph")
-	}
-	return nil
-}
-
-// runs maps algorithm names to their speed-threaded inner entry points.
+// runs binds every UNC name to its speed-threaded scheduler.
 var runs = map[string]func(*dag.Graph, []float64) (*sched.Schedule, error){
 	"EZ":  runEZ,
 	"LC":  runLC,
@@ -64,8 +54,8 @@ func ScheduleHet(name string, g *dag.Graph, speeds []float64) (*sched.Schedule, 
 	if !ok {
 		return nil, fmt.Errorf("unc: unknown algorithm %q", name)
 	}
-	if err := checkGraph(g); err != nil {
-		return nil, err
+	if g == nil {
+		return nil, fmt.Errorf("unc: nil graph")
 	}
 	if speeds != nil {
 		need := max(g.NumNodes(), 1)
@@ -91,24 +81,6 @@ func acquire(g *dag.Graph, numProcs int, speeds []float64) *sched.Schedule {
 		}
 	}
 	return s
-}
-
-// blevelOrder returns the nodes in descending b-level order, enforced to
-// be topological via a priority-driven Kahn pass (for positive node
-// weights descending b-level is already topological; zero-weight nodes
-// need the guard). This is the standard intra-cluster ordering used when
-// converting a clustering into a schedule.
-func blevelOrder(g *dag.Graph) []dag.NodeID {
-	bl := dag.BLevels(g)
-	ready := algo.NewReadySet(g)
-	order := make([]dag.NodeID, 0, g.NumNodes())
-	for !ready.Empty() {
-		n := algo.MaxBy(ready.Ready(), func(n dag.NodeID) int64 { return bl[n] })
-		ready.Pop(n)
-		ready.MarkScheduled(g, n)
-		order = append(order, n)
-	}
-	return order
 }
 
 // scheduleAssignment converts a node-to-cluster assignment into a

@@ -37,10 +37,47 @@ type Algorithm struct {
 	Name  string
 	Class Class
 
-	runBNP   bnp.Scheduler
-	runUNC   unc.Scheduler
-	runAPN   apn.Scheduler
-	runParam func(*dag.Graph, int, []float64) (*sched.Schedule, error)
+	// kernel is the algorithm's speed-aware scheduler; see run.
+	kernel func(g *dag.Graph, procs int, speeds []float64, topo *machine.Topology) (schedule, error)
+}
+
+// schedule is a kernel's schedule as a Result measures it: a
+// *sched.Schedule for the clique classes (BNP, UNC, PARAM), a
+// *machine.Schedule for APN.
+type schedule interface {
+	Makespan() int64
+	NSL() float64
+	ProcessorsUsed() int
+}
+
+// run schedules g with the algorithm's kernel: BNP and PARAM
+// algorithms on procs processors, APN algorithms on topo, UNC
+// algorithms on as many processors as they open; nil speeds select the
+// homogeneous model. Every core entry point reaches the kernels here.
+func (a Algorithm) run(g *dag.Graph, procs int, speeds []float64, topo *machine.Topology) (schedule, error) {
+	if a.kernel == nil {
+		return nil, fmt.Errorf("core: unknown class %q", a.Class)
+	}
+	return a.kernel(g, procs, speeds, topo)
+}
+
+// clique builds a BNP, UNC or PARAM algorithm from its clique-model
+// scheduler.
+func clique(name string, c Class, run func(g *dag.Graph, procs int, speeds []float64) (*sched.Schedule, error)) Algorithm {
+	return Algorithm{Name: name, Class: c, kernel: func(g *dag.Graph, procs int, speeds []float64, _ *machine.Topology) (schedule, error) {
+		return run(g, procs, speeds)
+	}}
+}
+
+// network builds the named APN algorithm, which schedules tasks and
+// messages onto a topology.
+func network(name string) Algorithm {
+	return Algorithm{Name: name, Class: APN, kernel: func(g *dag.Graph, _ int, speeds []float64, topo *machine.Topology) (schedule, error) {
+		if topo == nil {
+			return nil, fmt.Errorf("core: APN algorithm %s needs a topology", name)
+		}
+		return apn.ScheduleHet(name, g, topo, speeds)
+	}}
 }
 
 // Result is one measured scheduling run.
@@ -87,79 +124,25 @@ func (a Algorithm) RunOn(g *dag.Graph, bnpProcs int, speeds []float64, topo *mac
 	}
 	algRuns.Inc()
 	start := time.Now()
-	var (
-		length int64
-		nsl    float64
-		procs  int
-	)
-	switch a.Class {
-	case BNP:
-		var (
-			s   *sched.Schedule
-			err error
-		)
-		if speeds == nil {
-			s, err = a.runBNP(g, bnpProcs)
-		} else {
-			s, err = bnp.ScheduleHet(a.Name, g, bnpProcs, speeds)
-		}
-		if err != nil {
-			return Result{}, err
-		}
-		length, nsl, procs = s.Makespan(), s.NSL(), s.ProcessorsUsed()
-		// The schedule is measured and discarded; recycling it lets the
-		// next cell on this worker run without allocating one.
-		s.Release()
-	case PARAM:
-		s, err := a.runParam(g, bnpProcs, speeds)
-		if err != nil {
-			return Result{}, err
-		}
-		length, nsl, procs = s.Makespan(), s.NSL(), s.ProcessorsUsed()
-		s.Release()
-	case UNC:
-		var (
-			s   *sched.Schedule
-			err error
-		)
-		if speeds == nil {
-			s, err = a.runUNC(g)
-		} else {
-			s, err = unc.ScheduleHet(a.Name, g, speeds)
-		}
-		if err != nil {
-			return Result{}, err
-		}
-		length, nsl, procs = s.Makespan(), s.NSL(), s.ProcessorsUsed()
-		s.Release()
-	case APN:
-		if topo == nil {
-			return Result{}, fmt.Errorf("core: APN algorithm %s needs a topology", a.Name)
-		}
-		var (
-			s   *machine.Schedule
-			err error
-		)
-		if speeds == nil {
-			s, err = a.runAPN(g, topo)
-		} else {
-			s, err = apn.ScheduleHet(a.Name, g, topo, speeds)
-		}
-		if err != nil {
-			return Result{}, err
-		}
-		length, nsl, procs = s.Makespan(), s.NSL(), s.ProcessorsUsed()
-	default:
-		return Result{}, fmt.Errorf("core: unknown class %q", a.Class)
+	s, err := a.run(g, bnpProcs, speeds, topo)
+	if err != nil {
+		return Result{}, err
 	}
-	return Result{
+	res := Result{
 		Algorithm: a.Name,
 		Class:     a.Class,
-		Length:    length,
-		NSL:       nsl,
-		Procs:     procs,
-		Elapsed:   time.Since(start),
-	}, nil
+		Length:    s.Makespan(),
+		NSL:       s.NSL(),
+		Procs:     s.ProcessorsUsed(),
+	}
+	// The schedule is measured and discarded; recycling a clique
+	// schedule lets the next cell on this worker run without allocating
+	// one.
+	if cs, ok := s.(*sched.Schedule); ok {
+		cs.Release()
+	}
+	res.Elapsed = time.Since(start)
+	return res, nil
 }
 
 // All returns the 15 algorithms of the study in the paper's order:
@@ -175,42 +158,33 @@ func All() []Algorithm {
 
 // ByClass returns the algorithms of one class in canonical order.
 func ByClass(c Class) []Algorithm {
+	var out []Algorithm
 	switch c {
 	case BNP:
-		return []Algorithm{
-			{Name: "HLFET", Class: BNP, runBNP: bnp.HLFET},
-			{Name: "ISH", Class: BNP, runBNP: bnp.ISH},
-			{Name: "ETF", Class: BNP, runBNP: bnp.ETF},
-			{Name: "LAST", Class: BNP, runBNP: bnp.LAST},
-			{Name: "MCP", Class: BNP, runBNP: bnp.MCP},
-			{Name: "DLS", Class: BNP, runBNP: bnp.DLS},
+		for _, name := range []string{"HLFET", "ISH", "ETF", "LAST", "MCP", "DLS"} {
+			out = append(out, clique(name, BNP, func(g *dag.Graph, procs int, speeds []float64) (*sched.Schedule, error) {
+				return bnp.ScheduleHet(name, g, procs, speeds)
+			}))
 		}
 	case UNC:
-		return []Algorithm{
-			{Name: "EZ", Class: UNC, runUNC: unc.EZ},
-			{Name: "LC", Class: UNC, runUNC: unc.LC},
-			{Name: "DSC", Class: UNC, runUNC: unc.DSC},
-			{Name: "MD", Class: UNC, runUNC: unc.MD},
-			{Name: "DCP", Class: UNC, runUNC: unc.DCP},
+		for _, name := range []string{"EZ", "LC", "DSC", "MD", "DCP"} {
+			out = append(out, clique(name, UNC, func(g *dag.Graph, _ int, speeds []float64) (*sched.Schedule, error) {
+				return unc.ScheduleHet(name, g, speeds)
+			}))
 		}
 	case APN:
-		return []Algorithm{
-			{Name: "MH", Class: APN, runAPN: apn.MH},
-			{Name: "DLS", Class: APN, runAPN: apn.DLS},
-			{Name: "BU", Class: APN, runAPN: apn.BU},
-			{Name: "BSA", Class: APN, runAPN: apn.BSA},
+		for _, name := range []string{"MH", "DLS", "BU", "BSA"} {
+			out = append(out, network(name))
 		}
 	}
-	return nil
+	return out
 }
 
 // ParamAlgorithm wraps one component combination of the parameterized
 // scheduler space (internal/algo/param) as a registry Algorithm of
 // class PARAM, named by its canonical combo name. It runs on bnpProcs
 // processors, homogeneous or heterogeneous, like a BNP algorithm.
-func ParamAlgorithm(c param.Combo) Algorithm {
-	return Algorithm{Name: c.Name(), Class: PARAM, runParam: c.Schedule}
-}
+func ParamAlgorithm(c param.Combo) Algorithm { return clique(c.Name(), PARAM, c.Schedule) }
 
 // Parameterized returns the full component cross-product of the
 // parameterized scheduler space (currently 60 combinations) as

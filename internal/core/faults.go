@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dag"
 	"repro/internal/ft"
@@ -152,44 +153,15 @@ const faultEffectiveTrials = 10
 // adversarial fault-gap objective compares. BNP and PARAM algorithms
 // receive bnpProcs processors; APN algorithms the topology.
 func FaultEffective(a Algorithm, g *dag.Graph, bnpProcs int, topo *machine.Topology) (int64, error) {
-	var (
-		x   *ft.Exec
-		err error
-	)
-	apnClass := a.Class == APN
-	switch a.Class {
-	case BNP:
-		var s *sched.Schedule
-		if s, err = a.runBNP(g, bnpProcs); err == nil {
-			x, err = ft.Compile(s)
-			s.Release()
-		}
-	case PARAM:
-		var s *sched.Schedule
-		if s, err = a.runParam(g, bnpProcs, nil); err == nil {
-			x, err = ft.Compile(s)
-			s.Release()
-		}
-	case UNC:
-		var s *sched.Schedule
-		if s, err = a.runUNC(g); err == nil {
-			x, err = ft.Compile(s)
-			s.Release()
-		}
-	case APN:
-		if topo == nil {
-			return 0, fmt.Errorf("core: APN algorithm %s needs a topology", a.Name)
-		}
-		var s *machine.Schedule
-		if s, err = a.runAPN(g, topo); err == nil {
-			x, err = ft.CompileAPN(s)
-		}
-	default:
-		return 0, fmt.Errorf("core: unknown class %q", a.Class)
-	}
+	s, err := a.run(g, bnpProcs, nil, topo)
 	if err != nil {
 		return 0, err
 	}
+	x, err := compileFaults(s)
+	if err != nil {
+		return 0, err
+	}
+	apnClass := a.Class == APN
 	ref := dag.CPComputationSum(g)
 	deadline := faultsDeadline(x.Static())
 	opts := ft.Options{
@@ -214,6 +186,16 @@ func FaultEffective(a Algorithm, g *dag.Graph, bnpProcs int, topo *machine.Topol
 		}
 	}
 	return sum / int64(len(st.Makespans)), nil
+}
+
+// compileFaults compiles a kernel's schedule into a fault-capable Exec,
+// releasing a clique schedule once compiled.
+func compileFaults(s schedule) (*ft.Exec, error) {
+	if cs, ok := s.(*sched.Schedule); ok {
+		defer cs.Release()
+		return ft.Compile(cs)
+	}
+	return ft.CompileAPN(s.(*machine.Schedule))
 }
 
 // faultsAgg accumulates survival rates, finished-trial ratios, and
@@ -271,6 +253,7 @@ func Faults(cfg Config) error {
 	topo := apnTopology()
 	bnpAlgs := ByClass(BNP)
 	apnAlgs := ByClass(APN)
+	algs := slices.Concat(bnpAlgs, apnAlgs)
 	apnPolicies := []ft.RecoveryPolicy{ft.None()}
 
 	var p plan[faultsCell]
@@ -278,37 +261,23 @@ func Faults(cfg Config) error {
 		for gi, ng := range fam.graphs {
 			seed := faultsSeed(cfg.Seed, fi, gi)
 			ref := dag.CPComputationSum(ng.G)
-			for _, a := range bnpAlgs {
-				a, ng := a, ng
-				label := fmt.Sprintf("%s(BNP) on %s", a.Name, ng.Name)
+			for _, a := range algs {
+				label := fmt.Sprintf("%s(%s) on %s", a.Name, a.Class, ng.Name)
 				procs := BNPProcs(ng.G.NumNodes())
 				p.add(func() (faultsCell, error) {
-					s, err := a.runBNP(ng.G, procs)
+					s, err := a.run(ng.G, procs, nil, topo)
 					if err != nil {
 						return faultsCell{}, fmt.Errorf("faults: %s: %w", label, err)
 					}
-					x, err := ft.Compile(s)
-					s.Release()
+					x, err := compileFaults(s)
 					if err != nil {
 						return faultsCell{}, fmt.Errorf("faults: %s: %w", label, err)
+					}
+					if a.Class == APN {
+						return runFaultsSweep(x, seed, ref, true, apnPolicies, trials, label)
 					}
 					pols := faultsPolicies(x.Static(), ng.G.NumNodes())
 					return runFaultsSweep(x, seed, ref, false, pols, trials, label)
-				})
-			}
-			for _, a := range apnAlgs {
-				a, ng := a, ng
-				label := fmt.Sprintf("%s(APN) on %s", a.Name, ng.Name)
-				p.add(func() (faultsCell, error) {
-					s, err := a.runAPN(ng.G, topo)
-					if err != nil {
-						return faultsCell{}, fmt.Errorf("faults: %s: %w", label, err)
-					}
-					x, err := ft.CompileAPN(s)
-					if err != nil {
-						return faultsCell{}, fmt.Errorf("faults: %s: %w", label, err)
-					}
-					return runFaultsSweep(x, seed, ref, true, apnPolicies, trials, label)
 				})
 			}
 		}

@@ -5,6 +5,8 @@ import (
 	"sort"
 
 	"repro/internal/gen"
+	"repro/internal/machine"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/table"
 )
@@ -84,6 +86,16 @@ func runRobustTrials(plan *sim.Plan, static int64, opts sim.Options, trials int,
 	return robustCell{stats: stats}, nil
 }
 
+// compilePlan compiles a kernel's schedule for replay, releasing a
+// clique schedule once compiled.
+func compilePlan(s schedule) (*sim.Plan, error) {
+	if cs, ok := s.(*sched.Schedule); ok {
+		defer cs.Release()
+		return sim.Compile(cs)
+	}
+	return sim.CompileAPN(s.(*machine.Schedule))
+}
+
 // Robust runs the Monte-Carlo execution-robustness study: the BNP
 // algorithms (clique model) and the APN algorithms (hypercube with
 // per-link contention) over every registered generator family,
@@ -114,38 +126,20 @@ func Robust(cfg Config) error {
 			for gi, ng := range fam.graphs {
 				opts := sim.Options{Perturb: perturb, Seed: robustSeed(cfg.Seed, fi, gi)}
 				for _, a := range panel.algs {
-					a, ng := a, ng
 					label := fmt.Sprintf("%s(%s) on %s", a.Name, a.Class, ng.Name)
-					switch a.Class {
-					case BNP:
-						procs := BNPProcs(ng.G.NumNodes())
-						p.add(func() (robustCell, error) {
-							s, err := a.runBNP(ng.G, procs)
-							if err != nil {
-								return robustCell{}, fmt.Errorf("robust: %s: %w", label, err)
-							}
-							static := s.Makespan()
-							splan, err := sim.Compile(s)
-							s.Release()
-							if err != nil {
-								return robustCell{}, fmt.Errorf("robust: %s: %w", label, err)
-							}
-							return runRobustTrials(splan, static, opts, trials, label)
-						})
-					case APN:
-						p.add(func() (robustCell, error) {
-							s, err := a.runAPN(ng.G, topo)
-							if err != nil {
-								return robustCell{}, fmt.Errorf("robust: %s: %w", label, err)
-							}
-							static := s.Makespan()
-							splan, err := sim.CompileAPN(s)
-							if err != nil {
-								return robustCell{}, fmt.Errorf("robust: %s: %w", label, err)
-							}
-							return runRobustTrials(splan, static, opts, trials, label)
-						})
-					}
+					procs := BNPProcs(ng.G.NumNodes())
+					p.add(func() (robustCell, error) {
+						s, err := a.run(ng.G, procs, nil, topo)
+						if err != nil {
+							return robustCell{}, fmt.Errorf("robust: %s: %w", label, err)
+						}
+						static := s.Makespan()
+						splan, err := compilePlan(s)
+						if err != nil {
+							return robustCell{}, fmt.Errorf("robust: %s: %w", label, err)
+						}
+						return runRobustTrials(splan, static, opts, trials, label)
+					})
 				}
 			}
 		}

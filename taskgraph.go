@@ -173,31 +173,19 @@ func AlgorithmNames(c Class) []string { return core.Names(c) }
 // ScheduleBNP runs a BNP algorithm (HLFET, ISH, ETF, LAST, MCP, or DLS)
 // on numProcs fully connected processors.
 func ScheduleBNP(name string, g *Graph, numProcs int) (*Schedule, error) {
-	algo, ok := bnp.Algorithms()[name]
-	if !ok {
-		return nil, fmt.Errorf("taskgraph: unknown BNP algorithm %q (have %v)", name, core.Names(BNP))
-	}
-	return algo(g, numProcs)
+	return ScheduleBNPHet(name, g, numProcs, nil)
 }
 
 // ScheduleUNC runs a UNC clustering algorithm (EZ, LC, DSC, MD, or DCP)
 // with an unbounded processor supply.
 func ScheduleUNC(name string, g *Graph) (*Schedule, error) {
-	algo, ok := unc.Algorithms()[name]
-	if !ok {
-		return nil, fmt.Errorf("taskgraph: unknown UNC algorithm %q (have %v)", name, core.Names(UNC))
-	}
-	return algo(g)
+	return ScheduleUNCHet(name, g, nil)
 }
 
 // ScheduleAPN runs an APN algorithm (MH, DLS, BU, or BSA) on an
 // arbitrary processor network, scheduling messages on its links.
 func ScheduleAPN(name string, g *Graph, topo *Topology) (*APNSchedule, error) {
-	algo, ok := apn.Algorithms()[name]
-	if !ok {
-		return nil, fmt.Errorf("taskgraph: unknown APN algorithm %q (have %v)", name, core.Names(APN))
-	}
-	return algo(g, topo)
+	return ScheduleAPNHet(name, g, topo, nil)
 }
 
 // Heterogeneous machines (extension): every scheduling entry point has
