@@ -46,13 +46,6 @@ func TestRegistryShape(t *testing.T) {
 	}
 }
 
-// measured is what RunOn reads off a schedule of either model.
-type measured interface {
-	Makespan() int64
-	NSL() float64
-	ProcessorsUsed() int
-}
-
 // TestRunAllClasses checks that RunOn measures the kernel its class
 // package exports: on every generator family, each registry algorithm
 // and each classic combo reports the length, NSL and processor count of
@@ -86,7 +79,7 @@ func TestRunAllClasses(t *testing.T) {
 				if res.Algorithm != a.Name || res.Class != a.Class {
 					t.Errorf("%s: result labels wrong: %+v", a.Name, res)
 				}
-				var s measured
+				var s schedule
 				switch a.Class {
 				case BNP:
 					if het {
