@@ -7,6 +7,10 @@ package taskgraph
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -202,5 +206,39 @@ func TestObsInvariantExperimentOutput(t *testing.T) {
 		if trace.Len() == 0 {
 			t.Errorf("%s: tracer recorded nothing", id)
 		}
+	}
+}
+
+// TestDecisionTraceMatchesDigest pins the content of the decision trace,
+// not just its validity: the JSONL trace of `dagbench -exp table1,fig4
+// -scale quick` (every registry algorithm, the four APN ones included)
+// must hash to the digest recorded in
+// internal/core/testdata/trace_quick.sha256. Any change to a placement,
+// its candidate list or its priority fails here. An intentional trace
+// change updates the digest in the same commit:
+//
+//	dagbench -exp table1,fig4 -scale quick -trace t.jsonl
+//	sha256sum < t.jsonl | cut -d' ' -f1 > internal/core/testdata/trace_quick.sha256
+func TestDecisionTraceMatchesDigest(t *testing.T) {
+	obsOff(t)
+	want, err := os.ReadFile("internal/core/testdata/trace_quick.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	tr := obs.NewTracer(h, obs.TraceJSONL)
+	obs.SetTracer(tr)
+	cfg := core.Config{Seed: 1998, Scale: core.Quick, Workers: 1, Cache: core.NewSuiteCache(), Out: io.Discard}
+	for _, id := range []string{"table1", "fig4"} {
+		if err := core.RunExperiment(id, cfg); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+	}
+	obs.SetTracer(nil)
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != strings.TrimSpace(string(want)) {
+		t.Errorf("decision trace digest %s, recorded %s", got, strings.TrimSpace(string(want)))
 	}
 }
