@@ -7,6 +7,13 @@ import (
 	"repro/internal/dag"
 )
 
+// dataReady returns the planned data-ready time of n on processor p:
+// the arrival of its last inbound message, with nothing committed.
+func dataReady(s *Schedule, n dag.NodeID, p int) (int64, bool) {
+	drt, _, ok := s.planInbound(n, p)
+	return drt, ok
+}
+
 // pair builds u(3) -c-> v(2).
 func pair(t *testing.T, c int64) (*dag.Graph, dag.NodeID, dag.NodeID) {
 	t.Helper()
@@ -24,12 +31,12 @@ func TestMessageOverChain(t *testing.T) {
 	s.MustPlace(u, 0, 0) // finishes at 3
 
 	// On P2 the message travels two hops of 5 each: 3+5+5 = 13.
-	drt, ok := s.DataReady(v, 2)
+	drt, ok := dataReady(s, v, 2)
 	if !ok || drt != 13 {
 		t.Errorf("DataReady(v,P2) = %d,%v want 13,true", drt, ok)
 	}
 	// On P0 it is local.
-	drt, ok = s.DataReady(v, 0)
+	drt, ok = dataReady(s, v, 0)
 	if !ok || drt != 3 {
 		t.Errorf("DataReady(v,P0) = %d,%v want 3,true", drt, ok)
 	}
@@ -52,7 +59,7 @@ func TestZeroCostMessageNeedsNoLink(t *testing.T) {
 	g, u, v := pair(t, 0)
 	s := NewSchedule(g, Chain(2))
 	s.MustPlace(u, 0, 0)
-	drt, ok := s.DataReady(v, 1)
+	drt, ok := dataReady(s, v, 1)
 	if !ok || drt != 3 {
 		t.Errorf("zero-cost DRT = %d,%v want 3,true", drt, ok)
 	}
@@ -84,7 +91,7 @@ func TestLinkContention(t *testing.T) {
 	s.MustPlace(p2, 0, 2) // [2,4)
 	s.MustPlace(c1, 1, 6) // msg1 on link [2,6)
 	// msg2 ready at 4, but the link is busy until 6: arrival 6+4=10.
-	drt, ok := s.DataReady(c2, 1)
+	drt, ok := dataReady(s, c2, 1)
 	if !ok || drt != 10 {
 		t.Errorf("contended DRT = %d,%v want 10,true", drt, ok)
 	}
@@ -112,7 +119,7 @@ func TestMessageInsertionIntoLinkGap(t *testing.T) {
 	s.MustPlace(pb, 0, 10)
 	s.MustPlace(ca, 1, 13) // msg a on link [10,13)
 	// pb finishes at 11... link busy [10,13), so msg b starts at 13.
-	drt, ok := s.DataReady(cb, 1)
+	drt, ok := dataReady(s, cb, 1)
 	if !ok || drt != 15 {
 		t.Errorf("DRT = %d,%v want 15,true", drt, ok)
 	}
@@ -122,7 +129,7 @@ func TestMessageInsertionIntoLinkGap(t *testing.T) {
 	s2.MustPlace(pb, 0, 0)  // [0,1)
 	s2.MustPlace(pa, 0, 1)  // [1,11)
 	s2.MustPlace(ca, 1, 14) // msg a on link [11,14)
-	drt, ok = s2.DataReady(cb, 1)
+	drt, ok = dataReady(s2, cb, 1)
 	if !ok || drt != 3 {
 		t.Errorf("gap DRT = %d,%v want 3,true (message fits before msg a)", drt, ok)
 	}
@@ -153,33 +160,6 @@ func TestPlaceErrors(t *testing.T) {
 	}
 	if err := s.Place(v, 1, 8); err != nil {
 		t.Errorf("rejected legal placement: %v", err)
-	}
-}
-
-func TestUnplaceRemovesReservations(t *testing.T) {
-	g, u, v := pair(t, 5)
-	s := NewSchedule(g, Chain(2))
-	s.MustPlace(u, 0, 0)
-	s.MustPlace(v, 1, 8)
-	if err := s.Unplace(u); err == nil {
-		t.Error("unplaced a node with a scheduled child")
-	}
-	if err := s.Unplace(v); err != nil {
-		t.Fatalf("Unplace(v): %v", err)
-	}
-	if len(s.LinkSlots(0, 1)) != 0 {
-		t.Error("reservation not removed with node")
-	}
-	if s.Placed() != 1 {
-		t.Errorf("Placed = %d, want 1", s.Placed())
-	}
-	// The link is free again: a re-placement gets the original time.
-	drt, ok := s.DataReady(v, 1)
-	if !ok || drt != 8 {
-		t.Errorf("DRT after unplace = %d,%v want 8,true", drt, ok)
-	}
-	if err := s.Unplace(v); err != nil {
-		t.Errorf("Unplace of unscheduled node should be a no-op, got %v", err)
 	}
 }
 
@@ -218,9 +198,9 @@ func TestReplaySequencesDiamond(t *testing.T) {
 	g := b.MustBuild()
 
 	topo := Chain(2)
-	s, err := ReplaySequences(g, topo, [][]dag.NodeID{{na, nc, nd}, {nb}})
+	s, err := ReplaySequencesHet(g, topo, [][]dag.NodeID{{na, nc, nd}, {nb}}, nil)
 	if err != nil {
-		t.Fatalf("ReplaySequences: %v", err)
+		t.Fatalf("ReplaySequencesHet: %v", err)
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
@@ -241,16 +221,16 @@ func TestReplaySequencesDiamond(t *testing.T) {
 func TestReplaySequencesErrors(t *testing.T) {
 	g, u, v := pair(t, 1)
 	topo := Chain(2)
-	if _, err := ReplaySequences(g, topo, [][]dag.NodeID{{u, v}}); err == nil {
+	if _, err := ReplaySequencesHet(g, topo, [][]dag.NodeID{{u, v}}, nil); err == nil {
 		t.Error("accepted wrong sequence count")
 	}
-	if _, err := ReplaySequences(g, topo, [][]dag.NodeID{{u, u}, {v}}); err == nil {
+	if _, err := ReplaySequencesHet(g, topo, [][]dag.NodeID{{u, u}, {v}}, nil); err == nil {
 		t.Error("accepted duplicate node")
 	}
-	if _, err := ReplaySequences(g, topo, [][]dag.NodeID{{u}, nil}); err == nil {
+	if _, err := ReplaySequencesHet(g, topo, [][]dag.NodeID{{u}, nil}, nil); err == nil {
 		t.Error("accepted missing node")
 	}
-	if _, err := ReplaySequences(g, topo, [][]dag.NodeID{{v, u}, nil}); err == nil {
+	if _, err := ReplaySequencesHet(g, topo, [][]dag.NodeID{{v, u}, nil}, nil); err == nil {
 		t.Error("accepted precedence-violating sequence")
 	}
 }
@@ -289,7 +269,7 @@ func TestReplayMatchesRandomAssignments(t *testing.T) {
 			p := rng.Intn(topo.NumProcs())
 			seqs[p] = append(seqs[p], n)
 		}
-		s, err := ReplaySequences(g, topo, seqs)
+		s, err := ReplaySequencesHet(g, topo, seqs, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

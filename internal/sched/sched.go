@@ -5,14 +5,17 @@
 // child costs the edge weight when the two tasks are on different
 // processors and nothing when they are co-located.
 //
-// A Schedule maintains one timeline per processor plus per-node placement
-// arrays, supports insertion and non-insertion earliest-start-time
-// queries, placement and removal (for migration-style algorithms and
-// branch-and-bound backtracking), and full validation of precedence and
+// The task side of a schedule — one timeline per processor, per-node
+// placement arrays, speeds, the Place checks and task validation — is
+// the Tasks core. A Schedule embeds it and adds the clique model:
+// insertion and non-insertion earliest-start-time queries, placement
+// and removal (for migration-style algorithms and branch-and-bound
+// backtracking), and full validation of precedence and
 // processor-exclusivity constraints.
 //
-// The APN class uses internal/machine instead, which schedules messages
-// on the links of an arbitrary topology.
+// The APN class uses internal/machine instead, whose Schedule embeds the
+// same Tasks core and schedules messages on the links of an arbitrary
+// topology.
 package sched
 
 import (
@@ -32,7 +35,9 @@ type Slot struct {
 }
 
 // Schedule is a (possibly partial) mapping of tasks to processors and
-// start times under the clique communication model.
+// start times under the clique communication model. Its task side —
+// timelines, placement arrays, speeds, the accessors — is the embedded
+// Tasks core it shares with machine.Schedule.
 //
 // Alongside the placement arrays, the schedule maintains an incremental
 // data-arrival cache: for every node it tracks, over the node's already
@@ -43,12 +48,7 @@ type Slot struct {
 // over all predecessors. Unplace marks affected children dirty; their
 // cache rows are rebuilt lazily by one predecessor scan on next query.
 type Schedule struct {
-	g      *dag.Graph
-	procs  []Timeline
-	proc   []int32 // node -> processor, -1 when unscheduled
-	start  []int64
-	finish []int64
-	placed int
+	Tasks
 
 	// Data-arrival cache, one row per node, valid while dirty is unset:
 	//   arrM1:  max over scheduled parents q of finish[q]+comm(q,n)
@@ -62,22 +62,6 @@ type Schedule struct {
 	arrM2      []int64
 	arrFin     []int64
 	dirty      []bool // row must be rebuilt by a predecessor scan
-
-	// lastFin mirrors procs[p].LastFinish() in a flat array so the
-	// non-insertion best-processor scan touches one cache line per few
-	// processors instead of chasing a slot slice per processor.
-	lastFin []int64
-
-	// maxFin caches the makespan (max over lastFin): Place folds each
-	// new finish in, so Makespan is O(1) instead of a scan. Unplace
-	// rebuilds it from lastFin only when the removed task carried it.
-	maxFin int64
-
-	// speed optionally makes the processors heterogeneous (HEFT-style):
-	// node n on processor p executes for ceil(Weight(n)/speed[p]) time
-	// units. Nil means uniform unit speed, where the execution time is
-	// exactly the node weight — the paper's homogeneous model.
-	speed []float64
 
 	// avail optionally floors the EST of every processor (repair-pass
 	// availability mask, see SetAvailableFrom); nil means every
@@ -109,32 +93,8 @@ func New(g *dag.Graph, numProcs int) *Schedule {
 // indistinguishable from a New one; steady-state experiment loops reset
 // pooled schedules instead of allocating fresh ones.
 func (s *Schedule) Reset(g *dag.Graph, numProcs int) {
-	if numProcs < 1 {
-		numProcs = 1
-	}
-	s.g = g
-	if cap(s.procs) >= numProcs {
-		s.procs = s.procs[:numProcs]
-		for i := range s.procs {
-			s.procs[i].reset()
-		}
-	} else {
-		// Carry the old timelines over so their slot capacity survives.
-		old := s.procs[:cap(s.procs)]
-		for i := range old {
-			old[i].reset()
-		}
-		s.procs = make([]Timeline, numProcs)
-		copy(s.procs, old)
-	}
-	s.lastFin = resize(s.lastFin, numProcs)
-	for i := range s.lastFin {
-		s.lastFin[i] = 0
-	}
+	s.Tasks.reset(g, numProcs)
 	n := g.NumNodes()
-	s.proc = resize(s.proc, n)
-	s.start = resize(s.start, n)
-	s.finish = resize(s.finish, n)
 	s.schedPreds = resize(s.schedPreds, n)
 	s.arrM1 = resize(s.arrM1, n)
 	s.arrP1 = resize(s.arrP1, n)
@@ -142,52 +102,18 @@ func (s *Schedule) Reset(g *dag.Graph, numProcs int) {
 	s.arrFin = resize(s.arrFin, n)
 	s.dirty = resize(s.dirty, n)
 	// Per-array clears compile to vectorized memclr, which beats a
-	// combined 9-stream loop once n reaches the scaling ladder's sizes.
-	clear(s.start)
-	clear(s.finish)
+	// combined loop once n reaches the scaling ladder's sizes.
 	clear(s.schedPreds)
 	clear(s.arrM1)
 	clear(s.arrM2)
 	clear(s.arrFin)
 	clear(s.dirty)
 	for i := 0; i < n; i++ {
-		s.proc[i] = -1
-	}
-	for i := 0; i < n; i++ {
 		s.arrP1[i] = -1
 	}
-	s.placed = 0
-	s.maxFin = 0
-	s.speed = nil
 	s.avail = nil
 	s.hasFixed = false
 }
-
-// SetSpeeds makes the processors heterogeneous: node n on processor p
-// executes for ceil(Weight(n)/speeds[p]) time units. It must be called
-// on an empty schedule (speeds change every execution time, so placed
-// slots would become inconsistent), with one positive factor per
-// processor. The vector is copied. A uniform all-ones vector reproduces
-// the homogeneous model exactly: ceil(w/1) == w.
-func (s *Schedule) SetSpeeds(speeds []float64) error {
-	if s.placed != 0 {
-		return fmt.Errorf("sched: SetSpeeds on a schedule with %d placed tasks", s.placed)
-	}
-	if len(speeds) != len(s.procs) {
-		return fmt.Errorf("sched: %d speed factors for %d processors", len(speeds), len(s.procs))
-	}
-	for p, sp := range speeds {
-		if !(sp > 0) || math.IsInf(sp, 1) {
-			return fmt.Errorf("sched: speed factor %g for processor %d must be positive and finite", sp, p)
-		}
-	}
-	s.speed = append(s.speed[:0], speeds...)
-	return nil
-}
-
-// Speeds returns the per-processor speed vector, or nil for uniform unit
-// speeds. The slice is shared with the schedule and must not be modified.
-func (s *Schedule) Speeds() []float64 { return s.speed }
 
 // SetAvailableFrom restricts when each processor may run newly queried
 // work: every EST query on processor p is floored at avail[p], and a
@@ -225,16 +151,6 @@ func (s *Schedule) AvailableFrom(p int) int64 {
 	return s.avail[p]
 }
 
-// ExecTime returns the execution time of node n on processor p:
-// ceil(Weight(n)/speed[p]), or exactly the weight under uniform speeds.
-func (s *Schedule) ExecTime(n dag.NodeID, p int) int64 {
-	w := s.g.Weight(n)
-	if s.speed == nil {
-		return w
-	}
-	return int64(math.Ceil(float64(w) / s.speed[p]))
-}
-
 // resize returns a slice of length n, reusing s's backing array when it
 // has the capacity. Contents are unspecified; Reset overwrites every
 // element.
@@ -269,48 +185,14 @@ func (s *Schedule) Release() {
 	pool.Put(s)
 }
 
-// Graph returns the task graph this schedule is for.
-func (s *Schedule) Graph() *dag.Graph { return s.g }
-
-// NumProcs returns the number of processors available to the schedule.
-func (s *Schedule) NumProcs() int { return len(s.procs) }
-
-// IsScheduled reports whether node n has been placed.
-func (s *Schedule) IsScheduled(n dag.NodeID) bool { return s.proc[n] >= 0 }
-
-// Complete reports whether every node has been placed.
-func (s *Schedule) Complete() bool { return s.placed == s.g.NumNodes() }
-
-// Placed returns the number of nodes placed so far.
-func (s *Schedule) Placed() int { return s.placed }
-
-// ProcOf returns the processor of node n, or -1 if unscheduled.
-func (s *Schedule) ProcOf(n dag.NodeID) int { return int(s.proc[n]) }
-
-// StartOf returns the start time of a scheduled node.
-func (s *Schedule) StartOf(n dag.NodeID) int64 { return s.start[n] }
-
-// FinishOf returns the finish time of a scheduled node.
-func (s *Schedule) FinishOf(n dag.NodeID) int64 { return s.finish[n] }
-
-// Slots returns the timeline of processor p, sorted by start time. The
-// returned slice is shared with the schedule and must not be modified.
-func (s *Schedule) Slots(p int) []Slot { return s.procs[p].Slots() }
-
 // Place schedules node n on processor p starting at the given time. It
 // returns an error if n is already scheduled, the processor index or
 // start time is invalid, or the slot would overlap an existing one.
 // Place does not verify precedence feasibility; use Validate or the EST
 // helpers for that — heuristics deliberately query EST first.
 func (s *Schedule) Place(n dag.NodeID, p int, start int64) error {
-	if s.proc[n] >= 0 {
-		return fmt.Errorf("sched: node %d already scheduled", n)
-	}
-	if p < 0 || p >= len(s.procs) {
-		return fmt.Errorf("sched: processor %d out of range [0,%d)", p, len(s.procs))
-	}
-	if start < 0 {
-		return fmt.Errorf("sched: negative start time %d for node %d", start, n)
+	if err := s.CheckPlace(n, p, start); err != nil {
+		return err
 	}
 	finish := start + s.ExecTime(n, p)
 	return s.commit(n, p, start, finish)
@@ -326,14 +208,8 @@ func (s *Schedule) Place(n dag.NodeID, p int, start int64) error {
 // zero-length interval is allowed (a task whose realized duration
 // rounded to nothing).
 func (s *Schedule) PlaceFixed(n dag.NodeID, p int, start, finish int64) error {
-	if s.proc[n] >= 0 {
-		return fmt.Errorf("sched: node %d already scheduled", n)
-	}
-	if p < 0 || p >= len(s.procs) {
-		return fmt.Errorf("sched: processor %d out of range [0,%d)", p, len(s.procs))
-	}
-	if start < 0 {
-		return fmt.Errorf("sched: negative start time %d for node %d", start, n)
+	if err := s.CheckPlace(n, p, start); err != nil {
+		return err
 	}
 	if finish < start {
 		return fmt.Errorf("sched: node %d finish %d before start %d", n, finish, start)
@@ -345,26 +221,15 @@ func (s *Schedule) PlaceFixed(n dag.NodeID, p int, start, finish int64) error {
 	return nil
 }
 
-// commit inserts the slot and maintains every incremental structure:
-// placement arrays, last-finish mirror, makespan, and the children's
-// data-arrival cache rows.
+// commit inserts the slot through the task core and folds the new
+// arrival into the children's data-arrival cache rows.
 func (s *Schedule) commit(n dag.NodeID, p int, start, finish int64) error {
 	if t := obs.ActiveTracer(); t != nil && t.InRun() {
 		// Before the insert: the record captures the pre-decision state.
-		s.tracePlacement(t, n, p, start, finish)
+		s.TracePlacement(t, s, n, p, start, finish)
 	}
-	if err := s.procs[p].Insert(Slot{Node: n, Start: start, Finish: finish}); err != nil {
-		return fmt.Errorf("sched: node %d on P%d: %w", n, p, err)
-	}
-	s.proc[n] = int32(p)
-	s.start[n] = start
-	s.finish[n] = finish
-	s.placed++
-	if finish > s.lastFin[p] {
-		s.lastFin[p] = finish
-	}
-	if finish > s.maxFin {
-		s.maxFin = finish
+	if err := InsertTask(&s.Tasks, n, p, start, finish); err != nil {
+		return err
 	}
 	// Fold the new arrival into each child's data-arrival cache.
 	pp := int32(p)
@@ -433,28 +298,6 @@ func (s *Schedule) Unplace(n dag.NodeID) {
 	}
 }
 
-// Makespan returns the schedule length from the incrementally
-// maintained cache: Place folds each new finish time into a running
-// maximum over the last-finish mirror, so the query is O(1) instead of
-// a scan over all processors. 0 for an empty schedule.
-func (s *Schedule) Makespan() int64 { return s.maxFin }
-
-// Length returns the schedule length (makespan): the latest finish time
-// over all processors, 0 for an empty schedule.
-func (s *Schedule) Length() int64 { return s.maxFin }
-
-// ProcessorsUsed returns the number of processors with at least one task
-// (paper section 6.4.2).
-func (s *Schedule) ProcessorsUsed() int {
-	used := 0
-	for i := range s.procs {
-		if s.procs[i].Len() > 0 {
-			used++
-		}
-	}
-	return used
-}
-
 // DataReadyTime returns the earliest time all of n's input data can be
 // available on processor p: the max over parents of the parent's finish
 // time plus the edge cost if the parent sits on a different processor.
@@ -520,27 +363,6 @@ func (s *Schedule) rebuildArrival(n dag.NodeID) {
 	s.dirty[n] = false
 }
 
-// EnablingProc returns the processor choice that maximizes locality for
-// DataReadyTime: the processor of the parent whose message arrives last
-// (the "very important parent"). Scheduling n there removes that edge's
-// cost. Returns -1 when n has no scheduled parents.
-func (s *Schedule) EnablingProc(n dag.NodeID) int {
-	best := -1
-	var bestArrival int64 = -1
-	for _, pr := range s.g.Preds(n) {
-		pp := s.proc[pr.To]
-		if pp < 0 {
-			continue
-		}
-		arrival := s.finish[pr.To] + pr.Weight
-		if arrival > bestArrival {
-			bestArrival = arrival
-			best = int(pp)
-		}
-	}
-	return best
-}
-
 // ESTOn returns the earliest start time of node n on processor p.
 // With insertion enabled the earliest sufficient idle gap at or after the
 // data-ready time is used (MCP/ISH/DCP style); otherwise the node can
@@ -570,7 +392,7 @@ func (s *Schedule) ESTOn(n dag.NodeID, p int, insertion bool) (est int64, ok boo
 		}
 		return drt, true
 	}
-	return s.procs[p].EarliestFit(drt, s.ExecTime(n, p), insertion), true
+	return s.EarliestFit(p, drt, s.ExecTime(n, p), insertion), true
 }
 
 // BestEST returns the processor giving the smallest EST for n over all
@@ -646,73 +468,23 @@ func (s *Schedule) BestESTNonInsertion(n dag.NodeID) (proc int, est int64, ok bo
 // delays are respected under the clique model, timelines are sorted and
 // non-overlapping, and slot durations equal node weights.
 func (s *Schedule) Validate() error {
-	for p := range s.procs {
-		if err := s.procs[p].Validate(); err != nil {
-			return fmt.Errorf("sched: P%d: %w", p, err)
+	// PlaceFixed commits observed durations, which legitimately differ
+	// from the static execution-time estimate.
+	return s.ValidateTasks(!s.hasFixed, func(parent, child dag.NodeID, weight int64) error {
+		arrival := s.finish[parent]
+		if s.proc[parent] != s.proc[child] {
+			arrival += weight
 		}
-		for _, sl := range s.procs[p].Slots() {
-			if !s.hasFixed && sl.Finish-sl.Start != s.ExecTime(sl.Node, p) {
-				// PlaceFixed commits observed durations, which legitimately
-				// differ from the static execution-time estimate.
-				return fmt.Errorf("sched: node %d duration %d != execution time %d",
-					sl.Node, sl.Finish-sl.Start, s.ExecTime(sl.Node, p))
-			}
-			if s.proc[sl.Node] != int32(p) || s.start[sl.Node] != sl.Start {
-				return fmt.Errorf("sched: node %d slot disagrees with placement arrays", sl.Node)
-			}
+		if s.start[child] < arrival {
+			return fmt.Errorf("sched: node %d starts at %d before data from parent %d arrives at %d",
+				child, s.start[child], parent, arrival)
 		}
-	}
-	count := 0
-	for v := 0; v < s.g.NumNodes(); v++ {
-		n := dag.NodeID(v)
-		if s.proc[n] < 0 {
-			continue
-		}
-		count++
-		for _, pr := range s.g.Preds(n) {
-			if s.proc[pr.To] < 0 {
-				return fmt.Errorf("sched: node %d scheduled before parent %d", n, pr.To)
-			}
-			arrival := s.finish[pr.To]
-			if s.proc[pr.To] != s.proc[n] {
-				arrival += pr.Weight
-			}
-			if s.start[n] < arrival {
-				return fmt.Errorf("sched: node %d starts at %d before data from parent %d arrives at %d",
-					n, s.start[n], pr.To, arrival)
-			}
-		}
-	}
-	if count != s.placed {
-		return fmt.Errorf("sched: placed counter %d != %d placed nodes", s.placed, count)
-	}
-	return nil
-}
-
-// NSL returns the normalized schedule length: the makespan divided by the
-// sum of computation costs on a critical path (paper section 6). Only
-// meaningful for complete schedules; returns 0 when the denominator is 0.
-func (s *Schedule) NSL() float64 {
-	den := dag.CPComputationSum(s.g)
-	if den == 0 {
-		return 0
-	}
-	return float64(s.Length()) / float64(den)
+		return nil
+	})
 }
 
 // String renders the schedule as a compact per-processor listing, for
 // debugging and the cmd tools.
 func (s *Schedule) String() string {
-	out := fmt.Sprintf("schedule length=%d procs=%d\n", s.Length(), s.ProcessorsUsed())
-	for p := range s.procs {
-		if s.procs[p].Len() == 0 {
-			continue
-		}
-		out += fmt.Sprintf("P%d:", p)
-		for _, sl := range s.procs[p].Slots() {
-			out += fmt.Sprintf(" n%d[%d,%d)", sl.Node, sl.Start, sl.Finish)
-		}
-		out += "\n"
-	}
-	return out
+	return fmt.Sprintf("schedule length=%d procs=%d\n", s.Length(), s.ProcessorsUsed()) + s.Listing()
 }

@@ -27,7 +27,7 @@ func CompileAPN(s *machine.Schedule) (*Plan, error) {
 	n := g.NumNodes()
 	np := s.NumProcs()
 	b := newPlanBuilder(n, np, s.Makespan())
-	addTasks(b, g, s)
+	addTasks(b, g, &s.Tasks)
 	// Message-hop jobs, one per committed link reservation, chained
 	// along the route. Channels are discovered in deterministic edge
 	// order.

@@ -22,7 +22,7 @@ func Compile(s *sched.Schedule) (*Plan, error) {
 	g := s.Graph()
 	n := g.NumNodes()
 	b := newPlanBuilder(n, s.NumProcs(), s.Makespan())
-	addTasks(b, g, s)
+	addTasks(b, g, &s.Tasks)
 	for v := 0; v < n; v++ {
 		node := dag.NodeID(v)
 		for _, a := range g.Succs(node) {
@@ -37,19 +37,10 @@ func Compile(s *sched.Schedule) (*Plan, error) {
 	return plan, nil
 }
 
-// placed is the view of a complete schedule, clique or APN, that task
-// compilation reads.
-type placed interface {
-	NumProcs() int
-	ProcOf(dag.NodeID) int
-	StartOf(dag.NodeID) int64
-	FinishOf(dag.NodeID) int64
-	Slots(p int) []sched.Slot
-}
-
 // addTasks adds one job per task, on its processor, and queues every
-// processor's tasks in the static start order.
-func addTasks(b *planBuilder, g *dag.Graph, s placed) {
+// processor's tasks in the static start order. Clique and APN
+// schedules share the task core it reads.
+func addTasks(b *planBuilder, g *dag.Graph, s *sched.Tasks) {
 	for v := 0; v < g.NumNodes(); v++ {
 		node := dag.NodeID(v)
 		// The base duration is read off the schedule, not the graph, so
