@@ -62,10 +62,8 @@ func ScheduleHet(name string, g *dag.Graph, speeds []float64) (*sched.Schedule, 
 		if len(speeds) < need {
 			return nil, fmt.Errorf("unc: %d speed factors cannot cover %d processors", len(speeds), need)
 		}
-		for p, sp := range speeds {
-			if !(sp > 0) {
-				return nil, fmt.Errorf("unc: speed factor %g for processor %d must be positive", sp, p)
-			}
+		if err := sched.CheckSpeeds(speeds); err != nil {
+			return nil, err
 		}
 	}
 	return run(g, speeds)

@@ -1,12 +1,14 @@
 package unc
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"repro/internal/algo/bnp"
 	"repro/internal/dag"
+	"repro/internal/gen"
 )
 
 func allAlgorithms() []struct {
@@ -377,5 +379,34 @@ func TestDCPCompetitiveWithBNP(t *testing.T) {
 	}
 	if float64(dcpTotal) > 1.1*float64(hlfetTotal) {
 		t.Errorf("DCP total %d much worse than HLFET total %d", dcpTotal, hlfetTotal)
+	}
+}
+
+// TestScheduleHetRejectsNonFiniteSpeeds: every speed factor ScheduleHet
+// accepts must be one the schedules it builds accept too, so a zero,
+// negative, NaN or infinite factor is an error, never a panic.
+func TestScheduleHetRejectsNonFiniteSpeeds(t *testing.T) {
+	g, err := gen.Generate("rgnos", 1, gen.Params{"v": "20"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0, -2} {
+		speeds := make([]float64, g.NumNodes())
+		for i := range speeds {
+			speeds[i] = 1
+		}
+		speeds[3] = bad
+		for name := range Algorithms() {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s with speed %g panicked: %v", name, bad, r)
+					}
+				}()
+				if _, err := ScheduleHet(name, g, speeds); err == nil {
+					t.Errorf("%s accepted speed factor %g", name, bad)
+				}
+			}()
+		}
 	}
 }
