@@ -77,8 +77,7 @@ type searcher struct {
 	expansions int64
 	maxExp     int64
 	truncated  bool
-	shared     *sharedIncumbent // non-nil only in parallel search
-	lbStart    []int64          // scratch for the critical-path bound
+	lbStart    []int64 // scratch for the critical-path bound
 	topo       []dag.NodeID
 	remaining  []int // unscheduled parent count
 	ready      []dag.NodeID
@@ -127,7 +126,7 @@ func Schedule(g *dag.Graph, numProcs int, opts Options) (*Result, error) {
 		for _, name := range slices.Sorted(maps.Keys(unc.Algorithms())) {
 			if d, err := unc.ScheduleHet(name, g, nil); err == nil && d.ProcessorsUsed() <= numProcs {
 				if dl := d.Length(); se.best == nil || dl < se.bestLen {
-					se.best, se.bestLen = compact(g, d, numProcs), dl
+					se.best, se.bestLen = clone(d, numProcs, true), dl
 				}
 			}
 		}
@@ -156,32 +155,6 @@ func Schedule(g *dag.Graph, numProcs int, opts Options) (*Result, error) {
 	}, nil
 }
 
-// compact re-homes a schedule that may use more processor slots than
-// numProcs but no more distinct processors; used to adopt UNC incumbents.
-func compact(g *dag.Graph, s *sched.Schedule, numProcs int) *sched.Schedule {
-	remap := map[int]int{}
-	out := sched.New(g, numProcs)
-	type placement struct {
-		n     dag.NodeID
-		p     int
-		start int64
-	}
-	var ps []placement
-	for v := 0; v < g.NumNodes(); v++ {
-		n := dag.NodeID(v)
-		p := s.ProcOf(n)
-		if _, ok := remap[p]; !ok {
-			remap[p] = len(remap)
-		}
-		ps = append(ps, placement{n, remap[p], s.StartOf(n)})
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].start < ps[j].start })
-	for _, pl := range ps {
-		out.MustPlace(pl.n, pl.p, pl.start)
-	}
-	return out
-}
-
 func (se *searcher) dfs() {
 	if se.truncated {
 		return
@@ -195,7 +168,7 @@ func (se *searcher) dfs() {
 		return
 	}
 	se.expansions++
-	if se.lowerBound() >= se.effectiveBest() {
+	if se.lowerBound() >= se.bestLen {
 		return
 	}
 
@@ -209,6 +182,62 @@ func (se *searcher) dfs() {
 			return
 		}
 	}
+}
+
+// offerIncumbent records the current complete schedule if it strictly
+// improves the incumbent. Strictness matters: bestLen is an exclusive
+// threshold when an UpperBound seeded the search without a schedule, so
+// an equal-length schedule must not be adopted.
+func (se *searcher) offerIncumbent() {
+	if l := se.s.Length(); l < se.bestLen {
+		se.best = clone(se.s, se.numProcs, false)
+		se.bestLen = l
+	}
+}
+
+// branchCandidate is one child of a search node: ready task n appended
+// to processor p at its earliest start there.
+type branchCandidate struct {
+	n   dag.NodeID
+	p   int
+	est int64
+}
+
+// branches enumerates every ready task on every non-empty processor
+// plus the first empty one, ordered by EST (then larger static level,
+// node and processor) so promising children go first.
+func (se *searcher) branches() []branchCandidate {
+	var out []branchCandidate
+	for _, n := range se.ready {
+		seenEmpty := false
+		for p := 0; p < se.numProcs; p++ {
+			if len(se.s.Slots(p)) == 0 {
+				if seenEmpty {
+					continue
+				}
+				seenEmpty = true
+			}
+			est, ok := se.s.ESTOn(n, p, false)
+			if !ok {
+				panic("optimal: ready node has unscheduled parent")
+			}
+			out = append(out, branchCandidate{n, p, est})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		bi, bj := out[i], out[j]
+		if bi.est != bj.est {
+			return bi.est < bj.est
+		}
+		if se.sl[bi.n] != se.sl[bj.n] {
+			return se.sl[bi.n] > se.sl[bj.n]
+		}
+		if bi.n != bj.n {
+			return bi.n < bj.n
+		}
+		return bi.p < bj.p
+	})
+	return out
 }
 
 func (se *searcher) apply(n dag.NodeID, p int, est int64) {
@@ -348,11 +377,15 @@ func ceilDiv(a, b int64) int64 {
 	return (a + b - 1) / b
 }
 
-// snapshot deep-copies the current partial schedule (which is complete
-// when called) into a fresh Schedule.
-func snapshot(s *sched.Schedule, numProcs int) *sched.Schedule {
+// clone copies the placements of a complete schedule into a fresh one
+// on numProcs processors, in start order. With dense set, processors
+// are renumbered in order of first use by node ID: that re-homes a UNC
+// schedule, which may use any of its one-per-node processors but no
+// more than numProcs distinct ones.
+func clone(s *sched.Schedule, numProcs int, dense bool) *sched.Schedule {
 	g := s.Graph()
 	out := sched.New(g, numProcs)
+	remap := map[int]int{}
 	type placement struct {
 		n     dag.NodeID
 		p     int
@@ -361,7 +394,14 @@ func snapshot(s *sched.Schedule, numProcs int) *sched.Schedule {
 	var ps []placement
 	for v := 0; v < g.NumNodes(); v++ {
 		n := dag.NodeID(v)
-		ps = append(ps, placement{n, s.ProcOf(n), s.StartOf(n)})
+		p := s.ProcOf(n)
+		if dense {
+			if _, ok := remap[p]; !ok {
+				remap[p] = len(remap)
+			}
+			p = remap[p]
+		}
+		ps = append(ps, placement{n, p, s.StartOf(n)})
 	}
 	sort.Slice(ps, func(i, j int) bool { return ps[i].start < ps[j].start })
 	for _, pl := range ps {

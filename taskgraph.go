@@ -285,13 +285,6 @@ func ScheduleOptimal(g *Graph, numProcs int, opts OptimalOptions) (*OptimalResul
 	return optimal.Schedule(g, numProcs, opts)
 }
 
-// ScheduleOptimalParallel is ScheduleOptimal distributed over worker
-// goroutines with a shared incumbent, mirroring the parallel A* the
-// paper used for its RGBOS optima. workers <= 0 selects GOMAXPROCS.
-func ScheduleOptimalParallel(g *Graph, numProcs int, opts OptimalOptions, workers int) (*OptimalResult, error) {
-	return optimal.ScheduleParallel(g, numProcs, opts, workers)
-}
-
 // ScheduleDSH runs the task-duplication heuristic DSH (the TDB family of
 // the paper's taxonomy, implemented as an extension): tasks may be
 // redundantly executed on several processors to avoid communication.
