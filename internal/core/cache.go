@@ -64,27 +64,33 @@ func suiteCacheFor(cfg Config) *SuiteCache {
 	return processCache
 }
 
-func (c *SuiteCache) key(cfg Config) suiteKey { return suiteKey{cfg.Seed, cfg.Scale} }
+// cached returns m's entry for cfg's (seed, scale), building and
+// storing it on the first request. The cache lock is held across build,
+// so concurrent requests for one suite build it once. Failed builds are
+// not cached.
+func cached[V any](c *SuiteCache, m map[suiteKey]V, cfg Config, build func() (V, error)) (V, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	k := suiteKey{cfg.Seed, cfg.Scale}
+	if got, ok := m[k]; ok {
+		cacheHits.Inc()
+		return got, nil
+	}
+	cacheMisses.Inc()
+	v, err := build()
+	if err != nil {
+		return v, err
+	}
+	m[k] = v
+	return v, nil
+}
 
 // rgbosInstances returns the RGBOS suite with branch-and-bound optima
 // attached (the role the paper's parallel A* played), computing it on
 // the first request for (seed, scale). Failed computations are not
 // cached.
 func (c *SuiteCache) rgbosInstances(cfg Config) (map[float64][]degradationInstance, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := c.key(cfg)
-	if got, ok := c.rgbos[k]; ok {
-		cacheHits.Inc()
-		return got, nil
-	}
-	cacheMisses.Inc()
-	suite, err := computeRGBOS(cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.rgbos[k] = suite
-	return suite, nil
+	return cached(c, c.rgbos, cfg, func() (map[float64][]degradationInstance, error) { return computeRGBOS(cfg) })
 }
 
 // computeRGBOS generates the RGBOS graphs serially (the generator's rng
@@ -132,14 +138,13 @@ func computeRGBOS(cfg Config) (map[float64][]degradationInstance, error) {
 // rgposInstances returns the RGPOS suite, whose optima are known by
 // construction, generating it on the first request for (seed, scale).
 func (c *SuiteCache) rgposInstances(cfg Config) map[float64][]degradationInstance {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := c.key(cfg)
-	if got, ok := c.rgpos[k]; ok {
-		cacheHits.Inc()
-		return got
-	}
-	cacheMisses.Inc()
+	out, _ := cached(c, c.rgpos, cfg, func() (map[float64][]degradationInstance, error) {
+		return computeRGPOS(cfg), nil
+	})
+	return out
+}
+
+func computeRGPOS(cfg Config) map[float64][]degradationInstance {
 	out := map[float64][]degradationInstance{}
 	lo, hi, step := rgposSizes(cfg.Scale)
 	for _, ccr := range gen.PaperCCRs {
@@ -154,7 +159,6 @@ func (c *SuiteCache) rgposInstances(cfg Config) map[float64][]degradationInstanc
 			})
 		}
 	}
-	c.rgpos[k] = out
 	return out
 }
 
@@ -165,21 +169,10 @@ func (c *SuiteCache) rgposInstances(cfg Config) map[float64][]degradationInstanc
 // run seed and the point coordinates, so the suite is deterministic and
 // no two points share a generator stream.
 func (c *SuiteCache) genxSuite(cfg Config) (map[string][]gen.NamedGraph, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := c.key(cfg)
-	if got, ok := c.genx[k]; ok {
-		cacheHits.Inc()
-		return got, nil
-	}
-	cacheMisses.Inc()
-	sizes, ccrs, instances := genxPoints(cfg.Scale)
-	byFam, err := matchedFamilySuite("genx", cfg.Seed, sizes, ccrs, instances)
-	if err != nil {
-		return nil, err
-	}
-	c.genx[k] = byFam
-	return byFam, nil
+	return cached(c, c.genx, cfg, func() (map[string][]gen.NamedGraph, error) {
+		sizes, ccrs, instances := genxPoints(cfg.Scale)
+		return matchedFamilySuite("genx", cfg.Seed, sizes, ccrs, instances)
+	})
 }
 
 // componentsSuite returns the component-attribution study's instances
@@ -187,21 +180,10 @@ func (c *SuiteCache) genxSuite(cfg Config) (map[string][]gen.NamedGraph, error) 
 // (seed, scale). It is the same matched-grid construction as the genx
 // suite on the grid of componentsPoints.
 func (c *SuiteCache) componentsSuite(cfg Config) (map[string][]gen.NamedGraph, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := c.key(cfg)
-	if got, ok := c.comp[k]; ok {
-		cacheHits.Inc()
-		return got, nil
-	}
-	cacheMisses.Inc()
-	sizes, ccrs, instances := componentsPoints(cfg.Scale)
-	byFam, err := matchedFamilySuite("components", cfg.Seed, sizes, ccrs, instances)
-	if err != nil {
-		return nil, err
-	}
-	c.comp[k] = byFam
-	return byFam, nil
+	return cached(c, c.comp, cfg, func() (map[string][]gen.NamedGraph, error) {
+		sizes, ccrs, instances := componentsPoints(cfg.Scale)
+		return matchedFamilySuite("components", cfg.Seed, sizes, ccrs, instances)
+	})
 }
 
 // matchedFamilySuite builds one matched (size, CCR, instance) grid of
@@ -248,14 +230,10 @@ func matchedFamilySuite(exp string, runSeed int64, sizes []int, ccrs []float64, 
 // study exercises the whole registry. Per-instance seeds are mixed
 // from the run seed and the point coordinates, as in the genx suite.
 func (c *SuiteCache) robustSuite(cfg Config) ([]robustFamily, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := c.key(cfg)
-	if got, ok := c.robust[k]; ok {
-		cacheHits.Inc()
-		return got, nil
-	}
-	cacheMisses.Inc()
+	return cached(c, c.robust, cfg, func() ([]robustFamily, error) { return computeRobust(cfg) })
+}
+
+func computeRobust(cfg Config) ([]robustFamily, error) {
 	sizes, ccrs, instances := robustPoints(cfg.Scale)
 	var fams []robustFamily
 	for fi, f := range gen.Generators() {
@@ -292,7 +270,6 @@ func (c *SuiteCache) robustSuite(cfg Config) ([]robustFamily, error) {
 		}
 		fams = append(fams, fam)
 	}
-	c.robust[k] = fams
 	return fams, nil
 }
 
@@ -305,14 +282,11 @@ var robustFixedParams = map[string]gen.Params{
 // rgnosSuite returns the RGNOS graphs grouped by size, generating them
 // on the first request for (seed, scale).
 func (c *SuiteCache) rgnosSuite(cfg Config) map[int][]gen.NamedGraph {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := c.key(cfg)
-	if got, ok := c.rgnos[k]; ok {
-		cacheHits.Inc()
-		return got
-	}
-	cacheMisses.Inc()
+	out, _ := cached(c, c.rgnos, cfg, func() (map[int][]gen.NamedGraph, error) { return computeRGNOS(cfg), nil })
+	return out
+}
+
+func computeRGNOS(cfg Config) map[int][]gen.NamedGraph {
 	rc := gen.RGNOSConfig{
 		MinNodes:    50,
 		MaxNodes:    500,
@@ -327,6 +301,5 @@ func (c *SuiteCache) rgnosSuite(cfg Config) map[int][]gen.NamedGraph {
 	for _, ng := range gen.RGNOS(rc) {
 		bySize[ng.G.NumNodes()] = append(bySize[ng.G.NumNodes()], ng)
 	}
-	c.rgnos[k] = bySize
 	return bySize
 }
