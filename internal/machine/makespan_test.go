@@ -42,3 +42,18 @@ func TestMakespanCacheAPN(t *testing.T) {
 		t.Fatalf("Makespan %d / Length %d, scan says %d", got, s.Length(), want)
 	}
 }
+
+// TestMakespanMethodValueOnNilSchedule: code that holds either a
+// clique or a network schedule may take ms.Makespan as a method value
+// while ms is nil and call it only when ms is set. A method promoted
+// from the embedded task core would dereference ms already there.
+func TestMakespanMethodValueOnNilSchedule(t *testing.T) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("method value on a nil *Schedule panicked: %v", r)
+		}
+	}()
+	var ms *Schedule
+	makespan := ms.Makespan
+	_ = makespan
+}

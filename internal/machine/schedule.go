@@ -63,6 +63,13 @@ func NewSchedule(g *dag.Graph, topo *Topology) *Schedule {
 // Topology returns the processor network.
 func (s *Schedule) Topology() *Topology { return s.topo }
 
+// Makespan returns the schedule length, as sched.Tasks.Makespan does.
+// It is declared here rather than promoted so that the method value
+// s.Makespan can be taken while s is still nil: callers that hold
+// either a clique or a network schedule do that and call it only on the
+// one that is set.
+func (s *Schedule) Makespan() int64 { return s.Tasks.Makespan() }
+
 // LinkHop is one committed link reservation of a message, exposed for
 // consumers that replay schedules (the execution simulator): the
 // directed channel it occupies and the reserved interval.
