@@ -2,95 +2,79 @@ package optimal
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/dag"
 )
 
-func TestParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 12; trial++ {
-		g := randomGraph(rng, 4+rng.Intn(7), 40)
-		for _, p := range []int{2, 4} {
-			seq, err := Schedule(g, p, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err := ScheduleParallel(g, p, Options{}, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !seq.Closed || !par.Closed {
-				t.Fatalf("trial %d: searches did not close (seq=%v par=%v)",
-					trial, seq.Closed, par.Closed)
-			}
-			if seq.Length != par.Length {
-				t.Fatalf("trial %d p=%d: sequential %d != parallel %d",
-					trial, p, seq.Length, par.Length)
-			}
-			if par.Schedule == nil {
-				t.Fatalf("trial %d: parallel returned nil schedule", trial)
-			}
-			if err := par.Schedule.Validate(); err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-			if par.Schedule.Length() != par.Length {
-				t.Fatalf("trial %d: schedule length %d != reported %d",
-					trial, par.Schedule.Length(), par.Length)
-			}
-		}
-	}
-}
+// The RGBOS optima are solved as parallel cells, each calling Schedule
+// on its own graph from its own goroutine. These tests run Schedule
+// concurrently the same way and check that the calls stay independent.
 
-func TestParallelSingleWorkerDelegates(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := randomGraph(rng, 6, 30)
-	seq, err := Schedule(g, 2, Options{})
-	if err != nil {
-		t.Fatal(err)
+// scheduleConcurrently runs Schedule(g, numProcs, opts) from workers
+// goroutines at once and returns every result and error in call order.
+func scheduleConcurrently(g *dag.Graph, numProcs int, opts Options, workers int) ([]*Result, []error) {
+	results := make([]*Result, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = Schedule(g, numProcs, opts)
+		}(i)
 	}
-	par, err := ScheduleParallel(g, 2, Options{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Length != par.Length {
-		t.Errorf("1-worker parallel %d != sequential %d", par.Length, seq.Length)
-	}
+	wg.Wait()
+	return results, errs
 }
 
 func TestParallelErrors(t *testing.T) {
-	if _, err := ScheduleParallel(nil, 2, Options{}, 4); err == nil {
-		t.Error("accepted nil graph")
+	_, errs := scheduleConcurrently(nil, 2, Options{}, 4)
+	for i, err := range errs {
+		if err == nil {
+			t.Errorf("call %d accepted nil graph", i)
+		}
 	}
 }
 
 func TestParallelUpperBoundInfeasible(t *testing.T) {
 	// Same setup as the sequential upper-bound test: optimum 4, bound 3.
-	bld := newFourTaskBuilder()
-	res, err := ScheduleParallel(bld, 2, Options{UpperBound: 3}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Schedule != nil {
-		t.Errorf("found schedule of length %d under infeasible bound", res.Length)
+	g := newFourTaskBuilder()
+	results, errs := scheduleConcurrently(g, 2, Options{UpperBound: 3}, 4)
+	for i := range results {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if results[i].Schedule != nil {
+			t.Errorf("call %d found schedule of length %d under infeasible bound", i, results[i].Length)
+		}
 	}
 }
 
 func TestParallelDeterministicValue(t *testing.T) {
-	// Parallel search may return different optimal schedules between
-	// runs, but the optimal value must be stable.
+	// Concurrent searches on one shared graph must each close on the
+	// same optimal value as a search run alone.
 	rng := rand.New(rand.NewSource(41))
 	g := randomGraph(rng, 9, 60)
-	var lengths []int64
-	for i := 0; i < 3; i++ {
-		res, err := ScheduleParallel(g, 3, Options{}, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lengths = append(lengths, res.Length)
+	seq, err := Schedule(g, 3, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if lengths[0] != lengths[1] || lengths[1] != lengths[2] {
-		t.Errorf("optimal value varies across parallel runs: %v", lengths)
+	results, errs := scheduleConcurrently(g, 3, Options{}, 3)
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !res.Closed {
+			t.Errorf("call %d did not close", i)
+		}
+		if res.Length != seq.Length {
+			t.Errorf("call %d: optimal value %d, alone %d", i, res.Length, seq.Length)
+		}
+		if err := res.Schedule.Validate(); err != nil {
+			t.Errorf("call %d: %v", i, err)
+		}
 	}
 }
 
